@@ -141,6 +141,11 @@ let or_die = function
     Rr_obs.Log.errorf "riskroute: %s" msg;
     exit 1
 
+(* An analysis that rejects its inputs with [Invalid_argument] exits
+   like any other user error instead of crashing. *)
+let or_die_invalid f =
+  match f () with v -> v | exception Invalid_argument msg -> or_die (Error msg)
+
 (* --- networks --- *)
 
 let networks_cmd =
@@ -211,21 +216,7 @@ let route_continental ~pops ~src ~dst ~lambda_h =
     +. (kappa *. Array.unsafe_get node_risk (Array.unsafe_get tgt k))
   in
   Rr_graph.Query.prepare q;
-  let path_cost weight path =
-    let arc u v =
-      let rec scan k =
-        if k >= off.(u + 1) then or_die (Error "route: path arc missing")
-        else if tgt.(k) = v then k
-        else scan (k + 1)
-      in
-      scan off.(u)
-    in
-    let rec go acc = function
-      | u :: (v :: _ as rest) -> go (acc +. weight (arc u v)) rest
-      | _ -> acc
-    in
-    go 0.0 path
-  in
+  let path_cost weight path = Rr_graph.Dijkstra.path_cost ~off ~tgt ~weight path in
   let describe label weight =
     match Rr_graph.Query.run_stats q ~weight ~src:src_id ~dst:dst_id with
     | None, _, _ ->
@@ -537,7 +528,9 @@ let simulate_cmd =
     in
     let env = Rr_engine.Context.env (ctx ()) net in
     let r =
-      Riskroute.Outagesim.run ~scenario_count:scenarios ~radius_miles:radius ~kind env
+      or_die_invalid (fun () ->
+          Riskroute.Outagesim.run ~scenario_count:scenarios ~radius_miles:radius
+            ~kind env)
     in
     Format.printf
       "%s under %d %s strikes (radius %.0f mi):@.  static shortest survival  %.3f@.  static riskroute survival %.3f@.  reactive rerouting        %.3f@.  endpoint loss             %.3f@."
@@ -689,7 +682,9 @@ let availability_cmd =
   let run () name mttr =
     let net = or_die (find_net name) in
     let env = Rr_engine.Context.env (ctx ()) net in
-    let a = Riskroute.Availability.run ~mttr_hours:mttr env in
+    let a =
+      or_die_invalid (fun () -> Riskroute.Availability.run ~mttr_hours:mttr env)
+    in
     Format.printf
       "%s (%.1f strikes/year, %.0f h MTTR):@." name
       a.Riskroute.Availability.events_per_year a.Riskroute.Availability.mttr_hours;

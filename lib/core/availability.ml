@@ -22,7 +22,8 @@ let hours_per_year = 365.25 *. 24.0
 
 let run ?rng ?(samples = 400) ?(pair_cap = 150) ?(mttr_hours = 12.0)
     ?(radius_miles = 80.0) ?(kind = Rr_disaster.Event.Fema_hurricane) env =
-  if mttr_hours <= 0.0 then invalid_arg "Availability.run: non-positive MTTR";
+  if not (mttr_hours > 0.0 && Float.is_finite mttr_hours) then
+    invalid_arg "Availability.run: MTTR must be a positive finite number";
   let rng = match rng with Some r -> r | None -> Prng.create 0xA7A1_AB1EL in
   let n = Env.node_count env in
   let pairs = Sampling.pair_indices (Prng.split rng) ~n ~cap:pair_cap in
@@ -44,12 +45,12 @@ let run ?rng ?(samples = 400) ?(pair_cap = 150) ?(mttr_hours = 12.0)
   List.iter
     (fun (s : Outagesim.scenario) ->
       if s.Outagesim.failed_pops <> [] then begin
-        let failed = Hashtbl.create 8 in
-        List.iter (fun v -> Hashtbl.replace failed v ()) s.Outagesim.failed_pops;
-        let path_alive path = List.for_all (fun v -> not (Hashtbl.mem failed v)) path in
+        let failed = Array.make n false in
+        List.iter (fun v -> failed.(v) <- true) s.Outagesim.failed_pops;
+        let path_alive path = List.for_all (fun v -> not failed.(v)) path in
         Array.iteri
           (fun i (src, dst, shortest, riskroute) ->
-            let endpoint_dead = Hashtbl.mem failed src || Hashtbl.mem failed dst in
+            let endpoint_dead = failed.(src) || failed.(dst) in
             let static_down route =
               endpoint_dead
               ||
@@ -60,17 +61,7 @@ let run ?rng ?(samples = 400) ?(pair_cap = 150) ?(mttr_hours = 12.0)
             if static_down shortest then down_shortest.(i) <- down_shortest.(i) + 1;
             if static_down riskroute then down_riskroute.(i) <- down_riskroute.(i) + 1;
             let reactive_down =
-              endpoint_dead
-              || not
-                   (let weight u v =
-                      if Hashtbl.mem failed u || Hashtbl.mem failed v then 1e15
-                      else Env.distance_weight env u v
-                    in
-                    match
-                      Rr_graph.Dijkstra.single_pair (Env.graph env) ~weight ~src ~dst
-                    with
-                    | Some (cost, _) -> cost < 1e15
-                    | None -> false)
+              endpoint_dead || not (Outagesim.reactive_survives env ~failed ~src ~dst)
             in
             if reactive_down then down_reactive.(i) <- down_reactive.(i) + 1)
           static

@@ -30,4 +30,6 @@ val run :
 (** Monte Carlo estimate (defaults: 400 strike samples, 150 pairs, 12 h
     MTTR, 80-mile damage radius, hurricane strikes). Expected downtime of
     a pair is [rate * P(strike takes its path down) * MTTR]; endpoint
-    failures count against every posture. *)
+    failures count against every posture. Raises [Invalid_argument]
+    when [mttr_hours] or [radius_miles] is not a positive finite
+    number. *)

@@ -9,27 +9,27 @@ type plan = {
   repairs : repair list;
 }
 
-let banned_cost = 1e15
-
+(* Removed links and nodes weigh infinity, so the search runs on the
+   surviving topology: a banned link masks its arc and the mate, a
+   banned node every arc into and out of it. *)
 let route_avoiding env ~src ~dst ~banned_links ~banned_nodes =
   let kappa = Env.kappa env src dst in
-  let node_banned = Hashtbl.create 8 in
-  List.iter (fun v -> Hashtbl.replace node_banned v ()) banned_nodes;
-  let link_banned = Hashtbl.create 8 in
-  List.iter
-    (fun (u, v) ->
-      Hashtbl.replace link_banned (u, v) ();
-      Hashtbl.replace link_banned (v, u) ())
-    banned_links;
-  let weight u v =
-    if Hashtbl.mem node_banned u || Hashtbl.mem node_banned v then banned_cost
-    else if Hashtbl.mem link_banned (u, v) then banned_cost
-    else Env.edge_weight env ~kappa u v
+  let off = Env.arc_off env and tgt = Env.arc_tgt env and mate = Env.arc_mate env in
+  let removed = Array.make (Array.length tgt) false in
+  let remove k =
+    removed.(k) <- true;
+    removed.(mate.(k)) <- true
   in
-  match Rr_graph.Dijkstra.single_pair (Env.graph env) ~weight ~src ~dst with
-  | Some (cost, path) when cost < banned_cost ->
-    Some (Router.route_of_path env path)
-  | Some _ | None -> None
+  List.iter (fun (u, v) -> Option.iter remove (Rr_graph.Dijkstra.find_arc ~off ~tgt u v))
+    banned_links;
+  List.iter (fun v -> for k = off.(v) to off.(v + 1) - 1 do remove k done) banned_nodes;
+  let miles = Env.arc_miles env and risk = Env.arc_risk env in
+  let weight k =
+    if removed.(k) then infinity else miles.(k) +. (kappa *. risk.(k))
+  in
+  Option.map
+    (fun (_, path) -> Router.route_of_path env path)
+    (Rr_graph.Query.run (Env.query env) ~weight ~src ~dst)
 
 let plan env ~src ~dst =
   match Router.riskroute env ~src ~dst with

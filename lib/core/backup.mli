@@ -31,4 +31,7 @@ val route_avoiding :
   Env.t -> src:int -> dst:int -> banned_links:(int * int) list ->
   banned_nodes:int list -> Router.route option
 (** The underlying primitive: minimum bit-risk route that avoids the
-    given links (either direction) and nodes. *)
+    given links (either direction) and nodes — the route
+    {!Router.riskroute} finds once those links and every edge of those
+    nodes are removed. Banned links that are not in the graph are
+    ignored. *)

@@ -105,8 +105,7 @@ let shortest merged env ~src ~dst =
   if src = dst then Some (Router.route_of_path env [ src ])
   else
     match
-      lifted_dijkstra merged env ~weight:(fun u v -> Env.distance_weight env u v)
-        ~src ~dst
+      lifted_dijkstra merged env ~weight:(Env.link_miles env) ~src ~dst
     with
     | Some (_, path) -> Some (Router.route_of_path env path)
     | None -> None

@@ -343,6 +343,4 @@ let mean_kappa t =
 
 let edge_weight t ~kappa u v = link_miles t u v +. (kappa *. t.node_risk.(v))
 
-let distance_weight t u v = link_miles t u v
-
 let query t = t.query

@@ -135,10 +135,11 @@ val arc_mate : t -> int array
     in-arcs through it. *)
 
 val arc_miles : t -> float array
-(** Great-circle miles per arc. *)
+(** Great-circle miles per arc, bitwise equal to {!link_miles} of its
+    endpoints. *)
 
 val arc_risk : t -> float array
-(** [node_risk] of the arc's target node (refreshed by
+(** [node_risk] of the arc's target node, bitwise (refreshed by
     {!with_forecast} / {!with_params}). *)
 
 val query : t -> Rr_graph.Query.t
@@ -157,6 +158,3 @@ val mean_kappa : t -> float
 val edge_weight : t -> kappa:float -> int -> int -> float
 (** [w(u, v) = d(u, v) + kappa * node_risk(v)] — the directed edge weight
     whose path sums realise Eq. 1. *)
-
-val distance_weight : t -> int -> int -> float
-(** Pure bit-miles weight [d(u, v)] (shortest-path baseline). *)

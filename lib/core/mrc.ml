@@ -64,21 +64,22 @@ let coverage t =
   let covered = Array.fold_left (fun acc g -> if g >= 0 then acc + 1 else acc) 0 t.group in
   float_of_int covered /. float_of_int (max 1 (Array.length t.group))
 
-let banned_cost = 1e15
-
 let route t ~config ~src ~dst =
   if config < 0 || config >= t.k then invalid_arg "Mrc.route: bad configuration";
   let kappa = Env.kappa t.env src dst in
-  let weight u v =
+  let tgt = Env.arc_tgt t.env in
+  let miles = Env.arc_miles t.env and risk = Env.arc_risk t.env in
+  let weight k =
     (* no transit through isolated nodes: an isolated node may appear
-       only as an endpoint of the whole path *)
-    let transit_banned w = t.group.(w) = config && w <> src && w <> dst in
-    if transit_banned u || transit_banned v then banned_cost
-    else Env.edge_weight t.env ~kappa u v
+       only as an endpoint of the whole path, so arcs into any other
+       weigh infinity *)
+    let v = tgt.(k) in
+    if t.group.(v) = config && v <> src && v <> dst then infinity
+    else miles.(k) +. (kappa *. risk.(k))
   in
-  match Rr_graph.Dijkstra.single_pair (Env.graph t.env) ~weight ~src ~dst with
-  | Some (cost, path) when cost < banned_cost -> Some (Router.route_of_path t.env path)
-  | Some _ | None -> None
+  Option.map
+    (fun (_, path) -> Router.route_of_path t.env path)
+    (Rr_graph.Query.run (Env.query t.env) ~weight ~src ~dst)
 
 let recovery_route t ~failed ~src ~dst =
   if failed = src || failed = dst then None

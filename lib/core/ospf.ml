@@ -2,36 +2,28 @@ open Rr_util
 
 let max_ospf_weight = 65_535
 
-let raw_weight env ~kappa u v = Env.edge_weight env ~kappa u v
-
 let link_weights ?(max_weight = max_ospf_weight) env =
   if max_weight < 1 then invalid_arg "Ospf.link_weights: max_weight < 1";
   let kappa = Env.mean_kappa env in
-  let graph = Env.graph env in
-  let directed =
-    List.concat_map
-      (fun (u, v) -> [ (u, v); (v, u) ])
-      (Rr_graph.Graph.edges graph)
-  in
-  let raw = List.map (fun (u, v) -> ((u, v), raw_weight env ~kappa u v)) directed in
-  let largest = List.fold_left (fun acc (_, w) -> Float.max acc w) 0.0 raw in
+  let miles = Env.arc_miles env and risk = Env.arc_risk env in
+  let raw = Array.mapi (fun k m -> m +. (kappa *. risk.(k))) miles in
+  let largest = Array.fold_left Float.max 0.0 raw in
   let scale = if largest > 0.0 then float_of_int max_weight /. largest else 1.0 in
-  List.map
-    (fun (link, w) ->
-      (link, max 1 (min max_weight (int_of_float (Float.round (w *. scale))))))
+  Array.map
+    (fun w -> max 1 (min max_weight (int_of_float (Float.round (w *. scale)))))
     raw
 
+(* Integer costs can fall below arc miles, so SPF takes the plain kernel,
+   not the landmark-guided [Query.run]. *)
 let spf_route env ~weights ~src ~dst =
-  let table = Hashtbl.create (List.length weights) in
-  List.iter (fun (link, w) -> Hashtbl.replace table link w) weights;
-  let weight u v =
-    match Hashtbl.find_opt table (u, v) with
-    | Some w -> float_of_int w
-    | None -> infinity
-  in
-  match Rr_graph.Dijkstra.single_pair (Env.graph env) ~weight ~src ~dst with
-  | Some (_, path) -> Some (Router.route_of_path env path)
-  | None -> None
+  if Array.length weights <> Env.arc_count env then
+    invalid_arg "Ospf.spf_route: one weight per arc expected";
+  Option.map
+    (fun (_, path) -> Router.route_of_path env path)
+    (Rr_graph.Dijkstra.single_pair_flat ~n:(Env.node_count env)
+       ~off:(Env.arc_off env) ~tgt:(Env.arc_tgt env)
+       ~weight:(fun k -> float_of_int weights.(k))
+       ~src ~dst)
 
 type fidelity = {
   pairs : int;

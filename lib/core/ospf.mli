@@ -12,15 +12,17 @@
 val max_ospf_weight : int
 (** 65535, the RFC 2328 cost ceiling. *)
 
-val link_weights : ?max_weight:int -> Env.t -> ((int * int) * int) list
-(** One entry per directed link [(u, v)] (both directions present),
-    quantised so the largest weight hits [max_weight] (default
-    {!max_ospf_weight}) and every weight is at least 1. *)
+val link_weights : ?max_weight:int -> Env.t -> int array
+(** One weight per directed link, indexed like {!Env.arc_tgt} (both
+    directions present), quantised so the largest weight hits
+    [max_weight] (default {!max_ospf_weight}) and every weight is at
+    least 1. *)
 
-val spf_route : Env.t -> weights:((int * int) * int) list -> src:int ->
-  dst:int -> Router.route option
-(** Route computed by a standard SPF over the exported integer weights,
-    evaluated under the environment's true metrics. *)
+val spf_route : Env.t -> weights:int array -> src:int -> dst:int ->
+  Router.route option
+(** Route computed by a standard SPF over the exported integer weights
+    (as returned by {!link_weights}), evaluated under the environment's
+    true metrics. *)
 
 type fidelity = {
   pairs : int;

@@ -19,6 +19,8 @@ let sample_scenarios ?rng ?(radius_miles = 80.0) ?(probabilistic = false) ~kind
     ~count env =
   let rng = match rng with Some r -> r | None -> Prng.create 0x007A6EL in
   if count <= 0 then invalid_arg "Outagesim.sample_scenarios: count <= 0";
+  if not (radius_miles > 0.0 && Float.is_finite radius_miles) then
+    invalid_arg "Outagesim: radius_miles must be a positive finite number";
   let model = Rr_disaster.Model.for_kind kind in
   let sample = Rr_disaster.Model.sampler model ~seed:(Prng.int64 rng) in
   let coords = Env.coords env in
@@ -37,21 +39,18 @@ let sample_scenarios ?rng ?(radius_miles = 80.0) ?(probabilistic = false) ~kind
       in
       { center; radius_miles; failed_pops })
 
-let banned_cost = 1e15
-
 let c_scenarios = Rr_obs.Counter.make "outagesim.scenarios"
 
 let c_reactive = Rr_obs.Counter.make "outagesim.reactive_checks"
 
+(* Arcs into a failed PoP weigh infinity, so the search never settles
+   one; only the source needs its own check. *)
 let reactive_survives env ~failed ~src ~dst =
   Rr_obs.Counter.incr c_reactive;
-  let weight u v =
-    if Hashtbl.mem failed u || Hashtbl.mem failed v then banned_cost
-    else Env.distance_weight env u v
-  in
-  match Rr_graph.Dijkstra.single_pair (Env.graph env) ~weight ~src ~dst with
-  | Some (cost, _) -> cost < banned_cost
-  | None -> false
+  let tgt = Env.arc_tgt env and miles = Env.arc_miles env in
+  let weight k = if failed.(tgt.(k)) then infinity else miles.(k) in
+  (not failed.(src))
+  && Rr_graph.Query.run (Env.query env) ~weight ~src ~dst <> None
 
 let run ?rng ?(scenario_count = 200) ?(pair_cap = 200) ?(radius_miles = 80.0)
     ?(kind = Rr_disaster.Event.Fema_hurricane) env =
@@ -82,11 +81,9 @@ let run ?rng ?(scenario_count = 200) ?(pair_cap = 200) ?(radius_miles = 80.0)
   let contributions =
     Parallel.map_array
       (fun scenario ->
-        let failed = Hashtbl.create 8 in
-        List.iter (fun v -> Hashtbl.replace failed v ()) scenario.failed_pops;
-        let path_alive path =
-          List.for_all (fun v -> not (Hashtbl.mem failed v)) path
-        in
+        let failed = Array.make n false in
+        List.iter (fun v -> failed.(v) <- true) scenario.failed_pops;
+        let path_alive path = List.for_all (fun v -> not failed.(v)) path in
         let live_pairs = ref 0
         and s_ok = ref 0
         and r_ok = ref 0
@@ -94,7 +91,7 @@ let run ?rng ?(scenario_count = 200) ?(pair_cap = 200) ?(radius_miles = 80.0)
         and endpoint_dead = ref 0 in
         Array.iter
           (fun (src, dst, shortest, riskroute) ->
-            if Hashtbl.mem failed src || Hashtbl.mem failed dst then
+            if failed.(src) || failed.(dst) then
               incr endpoint_dead
             else begin
               incr live_pairs;
@@ -107,7 +104,7 @@ let run ?rng ?(scenario_count = 200) ?(pair_cap = 200) ?(radius_miles = 80.0)
                 if path_alive route.Router.path then incr r_ok
               | None -> ());
               if
-                Hashtbl.length failed = 0
+                scenario.failed_pops = []
                 || reactive_survives env ~failed ~src ~dst
               then incr re_ok
             end)

@@ -40,10 +40,18 @@ val sample_scenarios :
     quiet baseline). With [probabilistic] (default false) each PoP fails
     with probability [exp (-(d/r)^2)] instead of deterministically inside
     the radius — the probabilistic geographic failure model of Agarwal et
-    al. (the paper's reference [20]). *)
+    al. (the paper's reference [20]). Raises [Invalid_argument] when
+    [count <= 0] or [radius_miles] is not a positive finite number. *)
+
+val reactive_survives :
+  Env.t -> failed:bool array -> src:int -> dst:int -> bool
+(** The reactive posture for one pair: whether a path from [src] to
+    [dst] survives once every PoP with [failed.(v)] is removed (false
+    when an endpoint failed). [failed] has one entry per PoP. *)
 
 val run :
   ?rng:Rr_util.Prng.t -> ?scenario_count:int -> ?pair_cap:int ->
   ?radius_miles:float -> ?kind:Rr_disaster.Event.kind -> Env.t -> result
 (** Full simulation (defaults: 200 hurricane-kind scenarios, 200 pairs,
-    80-mile damage radius). *)
+    80-mile damage radius). Raises [Invalid_argument] on the inputs
+    {!sample_scenarios} rejects. *)

@@ -33,17 +33,18 @@ let dedup_paths points =
 
 let frontier ?(k = 24) env ~src ~dst =
   let kappa = Env.kappa env src dst in
-  let graph = Env.graph env in
+  let miles = Env.arc_miles env and risk = Env.arc_risk env in
   let candidates_under weight =
-    List.map snd (Rr_graph.Kpaths.yen graph ~weight ~src ~dst ~k)
+    List.map snd
+      (Rr_graph.Kpaths.yen ~n:(Env.node_count env) ~off:(Env.arc_off env)
+         ~tgt:(Env.arc_tgt env) ~weight ~src ~dst ~k)
   in
-  let by_distance = candidates_under (fun u v -> Env.distance_weight env u v) in
+  let by_distance = candidates_under (fun a -> miles.(a)) in
   let by_risk =
     (* pure risk, with a tiny distance tiebreak to keep paths short *)
-    candidates_under (fun u v ->
-        (kappa *. Env.node_risk env v) +. (1e-6 *. Env.link_miles env u v))
+    candidates_under (fun a -> (kappa *. risk.(a)) +. (1e-6 *. miles.(a)))
   in
-  let by_combined = candidates_under (fun u v -> Env.edge_weight env ~kappa u v) in
+  let by_combined = candidates_under (fun a -> miles.(a) +. (kappa *. risk.(a))) in
   let points =
     dedup_paths
       (List.map (point_of_path env ~kappa) (by_distance @ by_risk @ by_combined))

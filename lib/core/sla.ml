@@ -18,15 +18,16 @@ let measure env ~kappa path =
   (latency_ms env path, path_risk_scaled env ~kappa path)
 
 (* Dijkstra under the aggregated weight  risk + multiplier * latency
-   (multiplier in risk-per-ms). *)
+   (multiplier in risk-per-ms). The weight can fall below arc miles, so
+   it takes the plain kernel, not the landmark-guided [Query.run]. *)
 let aggregated_path env ~kappa ~multiplier ~src ~dst =
-  let weight u v =
-    (kappa *. Env.node_risk env v)
-    +. (multiplier *. propagation_ms_per_mile *. Env.link_miles env u v)
+  let miles = Env.arc_miles env and risk = Env.arc_risk env in
+  let weight k =
+    (kappa *. risk.(k)) +. (multiplier *. propagation_ms_per_mile *. miles.(k))
   in
-  match Rr_graph.Dijkstra.single_pair (Env.graph env) ~weight ~src ~dst with
-  | Some (_, path) -> Some path
-  | None -> None
+  Option.map snd
+    (Rr_graph.Dijkstra.single_pair_flat ~n:(Env.node_count env)
+       ~off:(Env.arc_off env) ~tgt:(Env.arc_tgt env) ~weight ~src ~dst)
 
 let constrained_route ?(iterations = 32) env ~src ~dst ~max_latency_ms =
   if max_latency_ms <= 0.0 then invalid_arg "Sla.constrained_route: non-positive budget";

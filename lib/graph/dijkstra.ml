@@ -2,10 +2,10 @@ open Rr_util
 
 type tree = { dist : float array; parent : int array }
 
-(* Kernel counters. The CSR core picks one of two loop bodies per run —
-   a plain one with no telemetry code and a counted one tallying into
-   stack-local refs, flushed to the sharded counters once at the end —
-   so routing with telemetry off pays exactly one flag read per run.
+(* Kernel counters. The CSR kernel tallies into stack-local refs on
+   every run and flushes them to the sharded counters once at the end,
+   only when telemetry is enabled, so routing with telemetry off pays a
+   few register increments per pop and one flag read per run.
    Relaxations count the full arc range of each expanded node. *)
 let c_runs = Rr_obs.Counter.make "dijkstra.runs"
 
@@ -19,100 +19,28 @@ let c_early_stops = Rr_obs.Counter.make "dijkstra.early_stops"
 
 let c_gc_minor_words = Rr_obs.Counter.make "dijkstra.gc_minor_words"
 
-let flush_counters ~relaxations ~pushes ~pops ~early =
-  Rr_obs.Counter.incr c_runs;
-  Rr_obs.Counter.add c_relaxations relaxations;
-  Rr_obs.Counter.add c_heap_pushes pushes;
-  Rr_obs.Counter.add c_heap_pops pops;
-  if early then Rr_obs.Counter.incr c_early_stops
-
-(* Shared core over the adjacency-list graph: runs Dijkstra from [src];
-   stops early once node [stop] (-1 for none) is settled. [stop] is a
-   plain int so the settle test is an integer compare instead of an
-   option allocation + polymorphic compare per pop. *)
-let run g ~weight ~src ~stop =
-  let n = Graph.node_count g in
+(* The kernel over a CSR adjacency ([Graph.to_csr] layout): the edge
+   relaxation loop walks an int array by index and weighs arcs through a
+   single [int -> float] lookup — in the RiskRoute hot path that lookup
+   is two float-array reads and a fused multiply-add, with no hashing,
+   no list traversal and no great-circle trigonometry. An [infinity]
+   weight never passes the strict [nd < dist] test, so it removes the
+   arc. Stops early once node [stop] (-1 for none) is settled. *)
+let run_flat ~n ~off ~tgt ~weight ~src ~stop =
   if src < 0 || src >= n then invalid_arg "Dijkstra: source out of range";
   let tel = Rr_obs.enabled () in
-  let relaxations = ref 0 and pushes = ref 1 and pops = ref 0 in
   let dist = Array.make n infinity in
   let parent = Array.make n (-1) in
   let settled = Array.make n false in
   let heap = Heap.create ~capacity:(max 16 n) () in
   dist.(src) <- 0.0;
   Heap.push heap 0.0 src;
-  let finished = ref false in
-  while (not !finished) && not (Heap.is_empty heap) do
-    let d = Heap.min_key heap in
-    let u = Heap.min_elt heap in
-    Heap.drop_min heap;
-    if tel then incr pops;
-    if not settled.(u) then begin
-      settled.(u) <- true;
-      if u = stop then finished := true
-      else begin
-        if tel then relaxations := !relaxations + Graph.degree g u;
-        Graph.iter_neighbors g u (fun v ->
-            if not settled.(v) then begin
-              let w = weight u v in
-              if w < 0.0 then invalid_arg "Dijkstra: negative edge weight";
-              let nd = d +. w in
-              if nd < dist.(v) then begin
-                dist.(v) <- nd;
-                parent.(v) <- u;
-                Heap.push heap nd v;
-                if tel then incr pushes
-              end
-            end)
-      end
-    end
-  done;
-  if tel then
-    flush_counters ~relaxations:!relaxations ~pushes:!pushes ~pops:!pops
-      ~early:!finished;
-  { dist; parent }
-
-(* Flat core over a CSR adjacency ([Graph.to_csr] layout): the edge
-   relaxation loop walks an int array by index and weighs arcs through a
-   single [int -> float] lookup — in the RiskRoute hot path that lookup
-   is two float-array reads and a fused multiply-add, with no hashing,
-   no list traversal and no great-circle trigonometry. *)
-(* The disabled-mode loop: no telemetry code at all, so routing with
-   telemetry off pays nothing inside the kernel. *)
-let flat_loop ~off ~tgt ~weight ~stop ~dist ~parent ~settled ~heap ~finished =
-  while (not !finished) && not (Heap.is_empty heap) do
-    let d = Heap.min_key heap in
-    let u = Heap.min_elt heap in
-    Heap.drop_min heap;
-    if not settled.(u) then begin
-      settled.(u) <- true;
-      if u = stop then finished := true
-      else
-        (* In-bounds by construction: [u < n] (heap only holds pushed
-           nodes), so [off] reads are valid, and CSR targets satisfy
-           [tgt.(k) < n]. Unsafe accesses keep the relaxation loop free
-           of bounds checks — this is the innermost loop of every sweep. *)
-        for k = Array.unsafe_get off u to Array.unsafe_get off (u + 1) - 1 do
-          let v = Array.unsafe_get tgt k in
-          if not (Array.unsafe_get settled v) then begin
-            let w = weight k in
-            if w < 0.0 then invalid_arg "Dijkstra: negative edge weight";
-            let nd = d +. w in
-            if nd < Array.unsafe_get dist v then begin
-              Array.unsafe_set dist v nd;
-              Array.unsafe_set parent v u;
-              Heap.push heap nd v
-            end
-          end
-        done
-    end
-  done
-
-(* Same loop with kernel counters tallied into stack-local refs; chosen
-   once per run when telemetry is enabled, flushed once at the end. *)
-let flat_loop_counted ~off ~tgt ~weight ~stop ~dist ~parent ~settled ~heap
-    ~finished =
+  (* [Gc.minor_words] is domain-local and allocation-free, so a counted
+     run can afford an allocation delta: a run that starts boxing floats
+     again shows up here before it shows up as wall-clock. *)
+  let gc0 = if tel then Gc.minor_words () else 0.0 in
   let relaxations = ref 0 and pushes = ref 1 and pops = ref 0 in
+  let finished = ref false in
   while (not !finished) && not (Heap.is_empty heap) do
     let d = Heap.min_key heap in
     let u = Heap.min_elt heap in
@@ -122,6 +50,10 @@ let flat_loop_counted ~off ~tgt ~weight ~stop ~dist ~parent ~settled ~heap
       settled.(u) <- true;
       if u = stop then finished := true
       else begin
+        (* In-bounds by construction: [u < n] (heap only holds pushed
+           nodes), so [off] reads are valid, and CSR targets satisfy
+           [tgt.(k) < n]. Unsafe accesses keep the relaxation loop free
+           of bounds checks — this is the innermost loop of every sweep. *)
         let lo = Array.unsafe_get off u and hi = Array.unsafe_get off (u + 1) in
         relaxations := !relaxations + (hi - lo);
         for k = lo to hi - 1 do
@@ -141,32 +73,15 @@ let flat_loop_counted ~off ~tgt ~weight ~stop ~dist ~parent ~settled ~heap
       end
     end
   done;
-  flush_counters ~relaxations:!relaxations ~pushes:!pushes ~pops:!pops
-    ~early:!finished
-
-let run_flat ~n ~off ~tgt ~weight ~src ~stop =
-  if src < 0 || src >= n then invalid_arg "Dijkstra: source out of range";
-  let dist = Array.make n infinity in
-  let parent = Array.make n (-1) in
-  let settled = Array.make n false in
-  let heap = Heap.create ~capacity:(max 16 n) () in
-  dist.(src) <- 0.0;
-  Heap.push heap 0.0 src;
-  let finished = ref false in
-  if Rr_obs.enabled () then begin
-    (* [Gc.minor_words] is domain-local and allocation-free, so the
-       counted path can afford a per-run allocation delta: a run that
-       starts boxing floats again shows up here before it shows up as
-       wall-clock. *)
-    let gc0 = Gc.minor_words () in
-    flat_loop_counted ~off ~tgt ~weight ~stop ~dist ~parent ~settled ~heap
-      ~finished;
+  if tel then begin
+    Rr_obs.Counter.incr c_runs;
+    Rr_obs.Counter.add c_relaxations !relaxations;
+    Rr_obs.Counter.add c_heap_pushes !pushes;
+    Rr_obs.Counter.add c_heap_pops !pops;
+    if !finished then Rr_obs.Counter.incr c_early_stops;
     Rr_obs.Counter.add c_gc_minor_words (int_of_float (Gc.minor_words () -. gc0))
-  end
-  else flat_loop ~off ~tgt ~weight ~stop ~dist ~parent ~settled ~heap ~finished;
+  end;
   { dist; parent }
-
-let single_source g ~weight ~src = run g ~weight ~src ~stop:(-1)
 
 let single_source_flat ~n ~off ~tgt ~weight ~src =
   run_flat ~n ~off ~tgt ~weight ~src ~stop:(-1)
@@ -341,27 +256,29 @@ let path_of_tree tree ~src ~dst =
     Some (build [] dst)
   end
 
-let pair_of_tree tree ~src ~dst =
-  if tree.dist.(dst) = infinity then None
-  else
-    match path_of_tree tree ~src ~dst with
-    | None -> None
-    | Some path -> Some (tree.dist.(dst), path)
-
-let single_pair g ~weight ~src ~dst =
-  let n = Graph.node_count g in
-  if dst < 0 || dst >= n then invalid_arg "Dijkstra: destination out of range";
-  if src = dst then Some (0.0, [ src ])
-  else pair_of_tree (run g ~weight ~src ~stop:dst) ~src ~dst
-
 let single_pair_flat ~n ~off ~tgt ~weight ~src ~dst =
   if dst < 0 || dst >= n then invalid_arg "Dijkstra: destination out of range";
   if src = dst then Some (0.0, [ src ])
-  else pair_of_tree (run_flat ~n ~off ~tgt ~weight ~src ~stop:dst) ~src ~dst
+  else
+    let tree = run_flat ~n ~off ~tgt ~weight ~src ~stop:dst in
+    Option.map (fun path -> (tree.dist.(dst), path)) (path_of_tree tree ~src ~dst)
 
-let path_cost ~weight path =
-  let rec loop acc = function
-    | a :: (b :: _ as rest) -> loop (acc +. weight a b) rest
+let find_arc ~off ~tgt a b =
+  let hi = off.(a + 1) in
+  let rec scan k =
+    if k >= hi then None else if tgt.(k) = b then Some k else scan (k + 1)
+  in
+  scan off.(a)
+
+(* Left-fold of arc weights along [path] — the exact float association
+   the kernel accumulates, so a recomputed cost matches a search's
+   label bitwise. *)
+let path_cost ~off ~tgt ~weight path =
+  let rec go acc = function
+    | a :: (b :: _ as rest) -> (
+      match find_arc ~off ~tgt a b with
+      | Some k -> go (acc +. weight k) rest
+      | None -> invalid_arg "Dijkstra.path_cost: path edge missing from CSR")
     | [ _ ] | [] -> acc
   in
-  loop 0.0 path
+  go 0.0 path

@@ -1,8 +1,12 @@
-(** Dijkstra shortest paths with a caller-supplied edge-weight function.
+(** Dijkstra shortest paths over a CSR adjacency with a caller-supplied
+    arc-weight function.
 
     This is the optimiser behind both shortest-path (bit-miles) routing and
     RiskRoute (bit-risk-miles, Eq. 3 of the paper): the two differ only in
-    the weight function. Weights must be non-negative. *)
+    the weight function. Graphs come in the {!Graph.to_csr} layout and
+    [weight] maps an {e arc index} to its weight. Weights must be
+    non-negative; an [infinity] weight removes the arc (it is never
+    relaxed), which is how callers express failed nodes and links. *)
 
 type tree = {
   dist : float array;  (** [infinity] for unreachable nodes *)
@@ -14,9 +18,6 @@ type tree = {
     every consumer, and [Augment] aliases [dist] arrays as all-pairs
     matrix rows. Anyone relaxing a cached row must copy it first. *)
 
-val single_source : Graph.t -> weight:(int -> int -> float) -> src:int -> tree
-(** Full shortest-path tree from [src]. *)
-
 val single_source_flat :
   n:int ->
   off:int array ->
@@ -24,19 +25,10 @@ val single_source_flat :
   weight:(int -> float) ->
   src:int ->
   tree
-(** {!single_source} over a flattened CSR adjacency (see
-    {!Graph.to_csr}); [weight] maps an {e arc index} to its weight. This
-    is the hot path used by the risk sweeps: arc targets and weights are
+(** Full shortest-path tree from [src]. Arc targets and weights are
     contiguous arrays, so relaxation does no list traversal and no
-    per-edge recomputation. Arc order matches {!Graph.iter_neighbors},
-    so results (including equal-cost tie-breaks) are identical to the
-    closure-weight runner. *)
-
-val single_pair :
-  Graph.t -> weight:(int -> int -> float) -> src:int -> dst:int ->
-  (float * int list) option
-(** Cost and node path (source first) from [src] to [dst]; [None] when
-    disconnected. Terminates early once [dst] is settled. *)
+    per-edge recomputation. Equal-cost ties go to the first arc
+    relaxed, in CSR order. *)
 
 val single_pair_flat :
   n:int ->
@@ -46,7 +38,8 @@ val single_pair_flat :
   src:int ->
   dst:int ->
   (float * int list) option
-(** {!single_pair} over a flattened CSR adjacency. *)
+(** Cost and node path (source first) from [src] to [dst]; [None] when
+    disconnected. Terminates early once [dst] is settled. *)
 
 type repair_stats = {
   settled : int;  (** nodes settled while repairing (or by the fallback run) *)
@@ -83,5 +76,13 @@ val repair :
 val path_of_tree : tree -> src:int -> dst:int -> int list option
 (** Recover the node path from a tree; [None] when [dst] unreachable. *)
 
-val path_cost : weight:(int -> int -> float) -> int list -> float
-(** Total weight of a node path (0 for paths of length < 2). *)
+val find_arc : off:int array -> tgt:int array -> int -> int -> int option
+(** [find_arc ~off ~tgt a b] is the index of arc [(a, b)], [None] when
+    the CSR has no such arc. Linear in the degree of [a]. *)
+
+val path_cost :
+  off:int array -> tgt:int array -> weight:(int -> float) -> int list -> float
+(** Left-fold of arc weights along a node path (0 for paths of length
+    < 2) — the float association the kernel accumulates, so it matches a
+    search's cost bitwise. Raises [Invalid_argument] when a hop is not
+    an arc of the CSR. *)

@@ -28,7 +28,7 @@ val neighbors : t -> int -> int list
 (** Neighbour list of a node (unspecified order, no duplicates). *)
 
 val iter_neighbors : t -> int -> (int -> unit) -> unit
-(** Allocation-free neighbour iteration — the Dijkstra hot path. *)
+(** Allocation-free neighbour iteration. *)
 
 val degree : t -> int -> int
 

@@ -1,15 +1,12 @@
-(* Yen's algorithm over an undirected graph with a (possibly directed)
-   weight function. Edge/node removals are expressed by wrapping the
-   weight function rather than mutating the graph; banned hops get a
-   huge-but-finite cost and any result that still uses one is
-   discarded. *)
+(* Yen's algorithm over a CSR adjacency with a (possibly directed)
+   arc-weight function. Removals are expressed by wrapping the weight
+   function rather than mutating the graph: a banned arc weighs
+   [infinity], which the kernel never relaxes. *)
 
-let banned_cost = 1e15
-
-let yen g ~weight ~src ~dst ~k =
+let yen ~n ~off ~tgt ~weight ~src ~dst ~k =
   if k <= 0 then []
   else
-    match Dijkstra.single_pair g ~weight ~src ~dst with
+    match Dijkstra.single_pair_flat ~n ~off ~tgt ~weight ~src ~dst with
     | None -> []
     | Some first ->
       let accepted = ref [ first ] in
@@ -25,50 +22,39 @@ let yen g ~weight ~src ~dst ~k =
            for i = 0 to Array.length prev - 2 do
              let spur = prev.(i) in
              let root = Array.to_list (Array.sub prev 0 (i + 1)) in
-             let root_cost = Dijkstra.path_cost ~weight root in
+             let root_cost = Dijkstra.path_cost ~off ~tgt ~weight root in
              (* Ban the next hop of every accepted path sharing this root,
-                and every root node before the spur. *)
-             let banned_edges =
+                and every root node before the spur: arcs into a banned
+                node weigh infinity, so the spur search never settles
+                one. *)
+             let banned_arcs =
                List.filter_map
                  (fun (_, p) ->
                    let arr = Array.of_list p in
                    if
                      Array.length arr > i + 1
                      && Array.to_list (Array.sub arr 0 (i + 1)) = root
-                   then Some (arr.(i), arr.(i + 1))
+                   then Dijkstra.find_arc ~off ~tgt arr.(i) arr.(i + 1)
                    else None)
                  !accepted
              in
-             let banned_nodes = Hashtbl.create 8 in
-             List.iteri
-               (fun j v -> if j < i then Hashtbl.replace banned_nodes v ())
-               root;
-             let spur_weight u v =
-               if Hashtbl.mem banned_nodes u || Hashtbl.mem banned_nodes v then
-                 banned_cost
-               else if List.exists (fun (a, b) -> a = u && b = v) banned_edges
-               then banned_cost
-               else weight u v
+             let banned_nodes = Array.make n false in
+             List.iteri (fun j v -> if j < i then banned_nodes.(v) <- true) root;
+             let spur_weight a =
+               if banned_nodes.(tgt.(a)) || List.mem a banned_arcs then infinity
+               else weight a
              in
-             match Dijkstra.single_pair g ~weight:spur_weight ~src:spur ~dst with
+             match
+               Dijkstra.single_pair_flat ~n ~off ~tgt ~weight:spur_weight
+                 ~src:spur ~dst
+             with
              | None -> ()
              | Some (spur_cost, spur_path) ->
-               if spur_cost < banned_cost then begin
-                 let total_path = root @ List.tl spur_path in
-                 let seen = Hashtbl.create 16 in
-                 let loopless =
-                   List.for_all
-                     (fun v ->
-                       if Hashtbl.mem seen v then false
-                       else begin
-                         Hashtbl.add seen v ();
-                         true
-                       end)
-                     total_path
-                 in
-                 if loopless && not (known total_path) then
-                   candidates := (root_cost +. spur_cost, total_path) :: !candidates
-               end
+               (* Loopless by construction: the spur path is a tree path
+                  and cannot reach a banned root node. *)
+               let total_path = root @ List.tl spur_path in
+               if not (known total_path) then
+                 candidates := (root_cost +. spur_cost, total_path) :: !candidates
            done;
            match List.sort compare !candidates with
            | [] -> raise Exit

@@ -5,8 +5,16 @@
     between two PoPs. *)
 
 val yen :
-  Graph.t -> weight:(int -> int -> float) -> src:int -> dst:int -> k:int ->
+  n:int ->
+  off:int array ->
+  tgt:int array ->
+  weight:(int -> float) ->
+  src:int ->
+  dst:int ->
+  k:int ->
   (float * int list) list
 (** Up to [k] loopless paths in non-decreasing cost order (source first in
-    each path). Fewer are returned when the graph does not admit [k]
-    distinct paths. Empty when [src] and [dst] are disconnected. *)
+    each path) over a {!Graph.to_csr} adjacency; [weight] maps an arc
+    index to its weight, as in {!Dijkstra.single_pair_flat}. Fewer are
+    returned when the graph does not admit [k] distinct paths. Empty
+    when [src] and [dst] are disconnected. *)

@@ -4,14 +4,15 @@ open Rr_util
 
    Three runners share one per-domain workspace:
 
-   - Plain: the [Dijkstra.flat_loop] kernel verbatim (same push order,
+   - Plain: the [Dijkstra] kernel's loop verbatim (same push order,
      same strict [nd < dist] test), so costs, paths and equal-cost
      tie-breaks are bit-identical to [Dijkstra.single_pair_flat].
    - Bidir: bidirectional Dijkstra; the backward search weighs reverse
      arcs through the forward arc's index via the reverse-CSR mate
      array (arc weights are asymmetric: target-node risk). The final
      cost is recomputed as the left-fold of forward arc weights along
-     the reconstructed path, so it matches Plain bitwise.
+     the reconstructed path ([Dijkstra.path_cost]), so it matches Plain
+     bitwise.
    - Alt: A* with landmark lower bounds (goal-directed). Landmarks are
      pure bit-miles distance trees, which stay admissible for every
      RiskRoute objective because risk only adds non-negative weight on
@@ -325,24 +326,6 @@ let run_plain t ~weight ~src ~dst =
   in
   (result, !settles)
 
-(* Arc index of (a, b); exists whenever b was reached from a. *)
-let find_arc t a b =
-  let j = ref t.off.(a) in
-  let hi = t.off.(a + 1) in
-  while !j < hi && t.tgt.(!j) <> b do incr j done;
-  if !j >= hi then invalid_arg "Query: path edge missing from CSR";
-  !j
-
-(* Left-fold of forward arc weights along [path] — the exact float
-   association the plain runner accumulates, so recomputed bidirectional
-   costs match it bitwise. *)
-let fold_path_cost t ~weight path =
-  let rec go acc = function
-    | a :: (b :: _ as rest) -> go (acc +. weight (find_arc t a b)) rest
-    | [ _ ] | [] -> acc
-  in
-  go 0.0 path
-
 let run_bidir t ~weight ~src ~dst =
   let ws = get_ws t.n in
   let dist_f = ws.dist_f and parent_f = ws.parent_f and settled_f = ws.settled_f in
@@ -433,7 +416,7 @@ let run_bidir t ~weight ~src ~dst =
         if !meet = dst then forward
         else forward @ List.tl (extend [] !meet)
       in
-      Some (fold_path_cost t ~weight path, path)
+      Some (Dijkstra.path_cost ~off ~tgt ~weight path, path)
     end
   in
   (result, !settles)

@@ -4,7 +4,14 @@
     bit-miles) and serves single-pair queries under any arc-weight
     function that {e dominates} bit-miles ([weight k >= arc_miles k],
     true of every RiskRoute objective: risk only adds non-negative
-    weight). Three runners are available:
+    weight). Only such weights may use {!run}: the ALT runner's
+    landmark bound is computed in bit-miles and overestimates under a
+    weight that falls below them, so weights such as LARAC's scaled
+    latency or quantised OSPF costs go to
+    {!Dijkstra.single_pair_flat} instead. An [infinity] arc weight
+    removes the arc in every runner (it dominates anything), which is
+    how failed nodes and links are expressed. Three runners are
+    available:
 
     - {e plain} — the {!Dijkstra.single_pair_flat} kernel;
     - {e bidir} — bidirectional Dijkstra, expanding whichever frontier
@@ -83,9 +90,10 @@ val run :
   dst:int ->
   (float * int list) option
 (** Cost and node path, [None] when disconnected — bit-identical to
-    {!Dijkstra.single_pair_flat} with the same arguments. [runner]
-    overrides {!choose}. Raises [Invalid_argument] on out-of-range
-    endpoints or a negative arc weight. *)
+    {!Dijkstra.single_pair_flat} with the same arguments. [weight] must
+    satisfy [weight k >= arc_miles k] for every arc ([infinity] removes
+    the arc). [runner] overrides {!choose}. Raises [Invalid_argument]
+    on out-of-range endpoints or a negative arc weight. *)
 
 val run_stats :
   ?runner:runner ->

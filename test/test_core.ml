@@ -319,14 +319,10 @@ let test_augment_candidates_rule () =
       Alcotest.(check bool) "not an existing edge" false
         (Rr_graph.Graph.has_edge (Env.graph env) u v);
       let direct = Env.link_miles env u v in
-      let tree =
-        Rr_graph.Dijkstra.single_pair (Env.graph env)
-          ~weight:(fun a b -> Env.link_miles env a b)
-          ~src:u ~dst:v
-      in
-      match tree with
-      | Some (current, _) ->
-        Alcotest.(check bool) "more than 50% shorter" true (direct < 0.5 *. current)
+      match Router.shortest env ~src:u ~dst:v with
+      | Some current ->
+        Alcotest.(check bool) "more than 50% shorter" true
+          (direct < 0.5 *. current.Router.bit_miles)
       | None -> Alcotest.fail "connected")
     candidates
 

@@ -30,10 +30,14 @@ let grid_graph () =
   done;
   g
 
+let yen g ~weight ~src ~dst ~k =
+  let off, tgt, weight = Arc_weight.lift g weight in
+  Rr_graph.Kpaths.yen ~n:(Rr_graph.Graph.node_count g) ~off ~tgt ~weight ~src ~dst ~k
+
 let test_yen_first_is_shortest () =
   let g = grid_graph () in
   let weight _ _ = 1.0 in
-  match Rr_graph.Kpaths.yen g ~weight ~src:0 ~dst:8 ~k:5 with
+  match yen g ~weight ~src:0 ~dst:8 ~k:5 with
   | (cost, path) :: _ ->
     Alcotest.(check (float 1e-9)) "4 hops" 4.0 cost;
     Alcotest.(check int) "5 nodes" 5 (List.length path)
@@ -42,7 +46,7 @@ let test_yen_first_is_shortest () =
 let test_yen_sorted_and_distinct () =
   let g = grid_graph () in
   let weight u v = 1.0 +. (0.01 *. float_of_int (u + v)) in
-  let paths = Rr_graph.Kpaths.yen g ~weight ~src:0 ~dst:8 ~k:6 in
+  let paths = yen g ~weight ~src:0 ~dst:8 ~k:6 in
   Alcotest.(check int) "six paths" 6 (List.length paths);
   let costs = List.map fst paths in
   Alcotest.(check bool) "non-decreasing" true
@@ -53,11 +57,12 @@ let test_yen_sorted_and_distinct () =
 let test_yen_costs_match_paths () =
   let g = grid_graph () in
   let weight u v = float_of_int (1 + ((u * v) mod 3)) in
+  let off, tgt, arc = Arc_weight.lift g weight in
   List.iter
     (fun (cost, path) ->
       Alcotest.(check (float 1e-9)) "cost consistent" cost
-        (Rr_graph.Dijkstra.path_cost ~weight path))
-    (Rr_graph.Kpaths.yen g ~weight ~src:0 ~dst:8 ~k:8)
+        (Rr_graph.Dijkstra.path_cost ~off ~tgt ~weight:arc path))
+    (yen g ~weight ~src:0 ~dst:8 ~k:8)
 
 let test_yen_loopless () =
   let g = grid_graph () in
@@ -65,16 +70,16 @@ let test_yen_loopless () =
     (fun (_, path) ->
       Alcotest.(check int) "no repeats" (List.length path)
         (List.length (List.sort_uniq compare path)))
-    (Rr_graph.Kpaths.yen g ~weight:(fun _ _ -> 1.0) ~src:0 ~dst:8 ~k:10)
+    (yen g ~weight:(fun _ _ -> 1.0) ~src:0 ~dst:8 ~k:10)
 
 let test_yen_exhausts () =
   (* a path graph has exactly one loopless route *)
   let g = Rr_graph.Graph.of_edges 3 [ (0, 1); (1, 2) ] in
   Alcotest.(check int) "single path" 1
-    (List.length (Rr_graph.Kpaths.yen g ~weight:(fun _ _ -> 1.0) ~src:0 ~dst:2 ~k:5));
+    (List.length (yen g ~weight:(fun _ _ -> 1.0) ~src:0 ~dst:2 ~k:5));
   Alcotest.(check int) "disconnected" 0
     (List.length
-       (Rr_graph.Kpaths.yen (Rr_graph.Graph.create 2) ~weight:(fun _ _ -> 1.0)
+       (yen (Rr_graph.Graph.create 2) ~weight:(fun _ _ -> 1.0)
           ~src:0 ~dst:1 ~k:3))
 
 (* --- Pareto --- *)
@@ -213,12 +218,13 @@ let test_backup_route_avoiding () =
 let test_ospf_weights_shape () =
   let env = diamond () in
   let weights = Ospf.link_weights env in
-  Alcotest.(check int) "two entries per link" 8 (List.length weights);
-  List.iter
-    (fun (_, w) ->
+  Alcotest.(check int) "two entries per link" 8 (Array.length weights);
+  Alcotest.(check int) "one per arc" (Env.arc_count env) (Array.length weights);
+  Array.iter
+    (fun w ->
       Alcotest.(check bool) "in [1, 65535]" true (w >= 1 && w <= Ospf.max_ospf_weight))
     weights;
-  let largest = List.fold_left (fun acc (_, w) -> max acc w) 0 weights in
+  let largest = Array.fold_left max 0 weights in
   Alcotest.(check int) "scale saturates" Ospf.max_ospf_weight largest
 
 let test_ospf_spf_route () =
@@ -320,6 +326,17 @@ let test_outage_run_bounds () =
     ];
   Alcotest.(check bool) "reactive at least as good as static" true
     (r.Outagesim.reactive_survival >= r.Outagesim.shortest_survival -. 1e-9)
+
+(* A radius must be a positive finite number: 0, negative and NaN radii
+   would otherwise fail no PoP and report perfect survival. *)
+let test_outage_rejects_bad_radius () =
+  let env = diamond () in
+  List.iter
+    (fun radius_miles ->
+      Alcotest.check_raises (Printf.sprintf "radius %g" radius_miles)
+        (Invalid_argument "Outagesim: radius_miles must be a positive finite number")
+        (fun () -> ignore (Outagesim.run ~radius_miles ~scenario_count:4 env)))
+    [ 0.0; -10.0; Float.nan; Float.infinity ]
 
 let test_outage_deterministic () =
   let env = diamond () in
@@ -467,6 +484,7 @@ let () =
         [
           Alcotest.test_case "scenarios" `Quick test_outage_scenarios;
           Alcotest.test_case "run bounds" `Quick test_outage_run_bounds;
+          Alcotest.test_case "rejects bad radius" `Quick test_outage_rejects_bad_radius;
           Alcotest.test_case "deterministic" `Quick test_outage_deterministic;
         ] );
       ( "seasonality",

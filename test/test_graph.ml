@@ -72,6 +72,14 @@ let test_csr_mates_involution () =
 
 (* --- Dijkstra --- *)
 
+let single_source g ~weight ~src =
+  let off, tgt, weight = Arc_weight.lift g weight in
+  Dijkstra.single_source_flat ~n:(Graph.node_count g) ~off ~tgt ~weight ~src
+
+let single_pair g ~weight ~src ~dst =
+  let off, tgt, weight = Arc_weight.lift g weight in
+  Dijkstra.single_pair_flat ~n:(Graph.node_count g) ~off ~tgt ~weight ~src ~dst
+
 let line_graph weights =
   (* 0 -1- 2 -... chain with given weights *)
   let n = Array.length weights + 1 in
@@ -87,7 +95,7 @@ let line_graph weights =
 
 let test_dijkstra_chain () =
   let g, weight = line_graph [| 1.0; 2.0; 3.0 |] in
-  let tree = Dijkstra.single_source g ~weight ~src:0 in
+  let tree = single_source g ~weight ~src:0 in
   Alcotest.(check (float 1e-9)) "dist to 3" 6.0 tree.Dijkstra.dist.(3);
   Alcotest.(check (option (list int))) "path" (Some [ 0; 1; 2; 3 ])
     (Dijkstra.path_of_tree tree ~src:0 ~dst:3)
@@ -100,7 +108,7 @@ let test_dijkstra_picks_cheaper () =
     | 0, 1 | 1, 3 -> 1.0
     | _ -> 5.0
   in
-  match Dijkstra.single_pair g ~weight ~src:0 ~dst:3 with
+  match single_pair g ~weight ~src:0 ~dst:3 with
   | Some (cost, path) ->
     Alcotest.(check (float 1e-9)) "cost" 2.0 cost;
     Alcotest.(check (list int)) "path" [ 0; 1; 3 ] path
@@ -110,15 +118,15 @@ let test_dijkstra_disconnected () =
   let g = Graph.of_edges 4 [ (0, 1) ] in
   let weight _ _ = 1.0 in
   Alcotest.(check bool) "no path" true
-    (Dijkstra.single_pair g ~weight ~src:0 ~dst:3 = None);
-  let tree = Dijkstra.single_source g ~weight ~src:0 in
+    (single_pair g ~weight ~src:0 ~dst:3 = None);
+  let tree = single_source g ~weight ~src:0 in
   Alcotest.(check bool) "inf dist" true (tree.Dijkstra.dist.(3) = infinity);
   Alcotest.(check (option (list int))) "no tree path" None
     (Dijkstra.path_of_tree tree ~src:0 ~dst:3)
 
 let test_dijkstra_src_eq_dst () =
   let g = Graph.of_edges 2 [ (0, 1) ] in
-  match Dijkstra.single_pair g ~weight:(fun _ _ -> 1.0) ~src:0 ~dst:0 with
+  match single_pair g ~weight:(fun _ _ -> 1.0) ~src:0 ~dst:0 with
   | Some (cost, path) ->
     Alcotest.(check (float 1e-9)) "zero" 0.0 cost;
     Alcotest.(check (list int)) "trivial path" [ 0 ] path
@@ -128,21 +136,42 @@ let test_dijkstra_negative_weight () =
   let g = Graph.of_edges 2 [ (0, 1) ] in
   Alcotest.check_raises "rejects negative"
     (Invalid_argument "Dijkstra: negative edge weight") (fun () ->
-      ignore (Dijkstra.single_pair g ~weight:(fun _ _ -> -1.0) ~src:0 ~dst:1))
+      ignore (single_pair g ~weight:(fun _ _ -> -1.0) ~src:0 ~dst:1))
 
 let test_dijkstra_directional_weight () =
   (* asymmetric weight: going 0 -> 1 costs 1, 1 -> 0 costs 10 *)
   let g = Graph.of_edges 2 [ (0, 1) ] in
   let weight u v = if u < v then 1.0 else 10.0 in
-  let c01 = Option.get (Dijkstra.single_pair g ~weight ~src:0 ~dst:1) in
-  let c10 = Option.get (Dijkstra.single_pair g ~weight ~src:1 ~dst:0) in
+  let c01 = Option.get (single_pair g ~weight ~src:0 ~dst:1) in
+  let c10 = Option.get (single_pair g ~weight ~src:1 ~dst:0) in
   Alcotest.(check (float 1e-9)) "forward" 1.0 (fst c01);
   Alcotest.(check (float 1e-9)) "backward" 10.0 (fst c10)
 
+let test_dijkstra_infinity_removes_arc () =
+  (* square 0-1-3 / 0-2-3: removing 0 -> 1 forces the dearer side, and
+     removing every arc into 3 disconnects it *)
+  let g = Graph.of_edges 4 [ (0, 1); (1, 3); (0, 2); (2, 3) ] in
+  let cheap u v = match (min u v, max u v) with 0, 1 | 1, 3 -> 1.0 | _ -> 5.0 in
+  let without_01 u v = if u = 0 && v = 1 then infinity else cheap u v in
+  Alcotest.(check (option (pair (float 1e-9) (list int)))) "detour"
+    (Some (10.0, [ 0; 2; 3 ]))
+    (single_pair g ~weight:without_01 ~src:0 ~dst:3);
+  let into_3 u v = if v = 3 then infinity else cheap u v in
+  Alcotest.(check bool) "cut off" true (single_pair g ~weight:into_3 ~src:0 ~dst:3 = None);
+  let tree = single_source g ~weight:into_3 ~src:0 in
+  Alcotest.(check bool) "unreached" true (tree.Dijkstra.dist.(3) = infinity)
+
 let test_path_cost () =
-  let weight u v = float_of_int (u + v) in
-  Alcotest.(check (float 1e-9)) "sum" 4.0 (Dijkstra.path_cost ~weight [ 0; 1; 2 ]);
-  Alcotest.(check (float 1e-9)) "singleton" 0.0 (Dijkstra.path_cost ~weight [ 7 ])
+  let g = Graph.of_edges 3 [ (0, 1); (1, 2) ] in
+  let off, tgt, weight = Arc_weight.lift g (fun u v -> float_of_int (u + v)) in
+  Alcotest.(check (float 1e-9)) "sum" 4.0
+    (Dijkstra.path_cost ~off ~tgt ~weight [ 0; 1; 2 ]);
+  Alcotest.(check (float 1e-9)) "singleton" 0.0
+    (Dijkstra.path_cost ~off ~tgt ~weight [ 7 ]);
+  Alcotest.(check (option int)) "no arc 0 -> 2" None (Dijkstra.find_arc ~off ~tgt 0 2);
+  Alcotest.check_raises "missing hop"
+    (Invalid_argument "Dijkstra.path_cost: path edge missing from CSR")
+    (fun () -> ignore (Dijkstra.path_cost ~off ~tgt ~weight [ 0; 2 ]))
 
 (* brute-force Bellman-Ford-ish reference for random graphs *)
 let brute_force_dist g ~weight ~src =
@@ -177,7 +206,7 @@ let dijkstra_matches_brute_force =
     (fun (n, edges) ->
       let g = Graph.of_edges n edges in
       let weight u v = float_of_int (((u * 7) + (v * 13)) mod 19) +. 1.0 in
-      let tree = Dijkstra.single_source g ~weight ~src:0 in
+      let tree = single_source g ~weight ~src:0 in
       let reference = brute_force_dist g ~weight ~src:0 in
       Array.for_all2
         (fun a b -> (a = infinity && b = infinity) || Float.abs (a -. b) < 1e-6)
@@ -189,10 +218,12 @@ let single_pair_consistent =
     (fun (n, edges) ->
       let g = Graph.of_edges n edges in
       let weight u v = float_of_int (((u * 3) + (v * 5)) mod 11) +. 0.5 in
-      match Dijkstra.single_pair g ~weight ~src:0 ~dst:(n - 1) with
+      match single_pair g ~weight ~src:0 ~dst:(n - 1) with
       | None -> true
       | Some (cost, path) ->
-        Float.abs (cost -. Dijkstra.path_cost ~weight path) < 1e-9
+        let off, tgt, weight = Arc_weight.lift g weight in
+        Int64.equal (Int64.bits_of_float cost)
+          (Int64.bits_of_float (Dijkstra.path_cost ~off ~tgt ~weight path))
         && List.hd path = 0
         && List.nth path (List.length path - 1) = n - 1)
 
@@ -283,14 +314,7 @@ let build_random_csr rng ~n ~extra =
     if u <> v && not (Graph.has_edge g u v) then Graph.add_edge g u v
   done;
   let off, tgt = Graph.to_csr g in
-  let mate = Graph.csr_mates ~off ~tgt in
-  let src_of = Array.make (Array.length tgt) 0 in
-  for u = 0 to n - 1 do
-    for k = off.(u) to off.(u + 1) - 1 do
-      src_of.(k) <- u
-    done
-  done;
-  (off, tgt, mate, src_of)
+  (off, tgt, Graph.csr_mates ~off ~tgt, Arc_weight.sources off)
 
 (* Repair [base] (computed under [w_old]) into the tree for [w_new] and
    check it is bit-identical — dist AND parent — to a fresh run. *)
@@ -327,14 +351,7 @@ let arc_weights ~tgt ~src_of table =
 let diamond () =
   let g = Graph.of_edges 4 [ (0, 1); (1, 2); (2, 3); (0, 3) ] in
   let off, tgt = Graph.to_csr g in
-  let mate = Graph.csr_mates ~off ~tgt in
-  let src_of = Array.make (Array.length tgt) 0 in
-  for u = 0 to 3 do
-    for k = off.(u) to off.(u + 1) - 1 do
-      src_of.(k) <- u
-    done
-  done;
-  (off, tgt, mate, src_of)
+  (off, tgt, Graph.csr_mates ~off ~tgt, Arc_weight.sources off)
 
 let changed_arcs ~src_of ~w_old ~w_new =
   let acc = ref [] in
@@ -469,6 +486,8 @@ let () =
           Alcotest.test_case "src = dst" `Quick test_dijkstra_src_eq_dst;
           Alcotest.test_case "negative weight" `Quick test_dijkstra_negative_weight;
           Alcotest.test_case "directional weight" `Quick test_dijkstra_directional_weight;
+          Alcotest.test_case "infinity removes arc" `Quick
+            test_dijkstra_infinity_removes_arc;
           Alcotest.test_case "path cost" `Quick test_path_cost;
           QCheck_alcotest.to_alcotest dijkstra_matches_brute_force;
           QCheck_alcotest.to_alcotest single_pair_consistent;

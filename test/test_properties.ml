@@ -64,9 +64,13 @@ let early_exit_matches_full =
     arb_graph
     (fun (n, edges) ->
       let g = Rr_graph.Graph.of_edges n edges in
-      let weight u v = 1.0 +. float_of_int ((u + (2 * v)) mod 7) in
-      let tree = Rr_graph.Dijkstra.single_source g ~weight ~src:0 in
-      match Rr_graph.Dijkstra.single_pair g ~weight ~src:0 ~dst:(n - 1) with
+      let off, tgt, weight =
+        Arc_weight.lift g (fun u v -> 1.0 +. float_of_int ((u + (2 * v)) mod 7))
+      in
+      let tree = Rr_graph.Dijkstra.single_source_flat ~n ~off ~tgt ~weight ~src:0 in
+      match
+        Rr_graph.Dijkstra.single_pair_flat ~n ~off ~tgt ~weight ~src:0 ~dst:(n - 1)
+      with
       | None -> tree.Rr_graph.Dijkstra.dist.(n - 1) = infinity
       | Some (cost, _) -> Float.abs (cost -. tree.Rr_graph.Dijkstra.dist.(n - 1)) < 1e-9)
 
@@ -86,8 +90,10 @@ let yen_paths_sorted =
     arb_graph
     (fun (n, edges) ->
       let g = Rr_graph.Graph.of_edges n edges in
-      let weight u v = 1.0 +. float_of_int ((u * v) mod 5) in
-      let paths = Rr_graph.Kpaths.yen g ~weight ~src:0 ~dst:(n - 1) ~k:5 in
+      let off, tgt, weight =
+        Arc_weight.lift g (fun u v -> 1.0 +. float_of_int ((u * v) mod 5))
+      in
+      let paths = Rr_graph.Kpaths.yen ~n ~off ~tgt ~weight ~src:0 ~dst:(n - 1) ~k:5 in
       let costs = List.map fst paths in
       let node_paths = List.map snd paths in
       List.sort Float.compare costs = costs
@@ -218,6 +224,73 @@ let backup_repairs_valid =
               | None -> true))
           plan.Backup.repairs)
 
+(* Removing nodes and links through infinite arc weights must route
+   exactly like the graph with them deleted: Backup's masked search
+   against Router on the pruned graph (same path, bitwise-equal cost),
+   and Outagesim's reactive check against connectivity once the failed
+   PoPs' edges are gone. A banned link that is not in the graph is
+   ignored. *)
+let masks_match_pruned_graph =
+  QCheck.Test.make ~name:"masked searches equal searches on the pruned graph"
+    ~count:300
+    (QCheck.pair arb_env QCheck.small_nat)
+    (fun (spec, seed) ->
+      let env = build_env spec in
+      let n = Env.node_count env in
+      let graph = Env.graph env in
+      let rng = Rr_util.Prng.create (Int64.of_int (seed + 1)) in
+      let pairs = Rr_util.Listx.pairs (List.init n Fun.id) in
+      let links, non_links =
+        List.partition (fun (u, v) -> Rr_graph.Graph.has_edge graph u v) pairs
+      in
+      let banned_nodes =
+        List.filter (fun _ -> Rr_util.Prng.int rng 4 = 0) (List.init n Fun.id)
+      in
+      (* Either orientation bans the link. *)
+      let banned_links =
+        List.filter_map
+          (fun (u, v) ->
+            if Rr_util.Prng.int rng 4 <> 0 then None
+            else if Rr_util.Prng.bool rng then Some (u, v)
+            else Some (v, u))
+          links
+      in
+      let absent =
+        match non_links with
+        | [] -> (0, 0)
+        | l -> List.nth l (Rr_util.Prng.int rng (List.length l))
+      in
+      let pruned = Rr_graph.Graph.copy graph in
+      List.iter
+        (fun v ->
+          List.iter (Rr_graph.Graph.remove_edge pruned v)
+            (Rr_graph.Graph.neighbors graph v))
+        banned_nodes;
+      let label = Rr_graph.Component.components pruned in
+      List.iter (fun (u, v) -> Rr_graph.Graph.remove_edge pruned u v) banned_links;
+      let pruned_env = Env.with_graph env pruned in
+      let failed = Array.make n false in
+      List.iter (fun v -> failed.(v) <- true) banned_nodes;
+      let same_route a b =
+        match (a, b) with
+        | None, None -> true
+        | Some (a : Router.route), Some (b : Router.route) ->
+          a.Router.path = b.Router.path
+          && Int64.equal
+               (Int64.bits_of_float a.Router.bit_risk_miles)
+               (Int64.bits_of_float b.Router.bit_risk_miles)
+        | _ -> false
+      in
+      List.for_all
+        (fun (src, dst) ->
+          same_route
+            (Backup.route_avoiding env ~src ~dst
+               ~banned_links:(absent :: banned_links) ~banned_nodes)
+            (Router.riskroute pruned_env ~src ~dst)
+          && Outagesim.reactive_survives env ~failed ~src ~dst
+             = (label.(src) = label.(dst)))
+        (pairs @ List.map (fun (u, v) -> (v, u)) pairs))
+
 let ospf_zero_risk_high_fidelity =
   QCheck.Test.make ~name:"zero-risk OSPF export routes like shortest path"
     ~count:50 arb_env
@@ -287,7 +360,7 @@ let () =
         [
           q metric_hop_additivity; q ratios_bounded; q riskroute_distance_dominates;
           q pareto_frontier_truly_optimal; q backup_repairs_valid;
-          q ospf_zero_risk_high_fidelity;
+          q masks_match_pruned_graph; q ospf_zero_risk_high_fidelity;
         ] );
       ( "sampling", [ q pair_indices_complete_when_uncapped ] );
       ( "forecast", [ q timestamp_format; q union_scope_monotone ] );

@@ -29,17 +29,23 @@ let query_of_env env =
   let q = Riskroute.Env.query env in
   (q, Query.arc_off q, Query.arc_tgt q, Query.arc_miles q)
 
-(* Both RiskRoute weight shapes: pure bit-miles, and bit-miles plus a
-   non-negative per-target term (what bit-risk-miles adds). *)
-let weights_of env tgt miles =
+(* The RiskRoute weight shapes: pure bit-miles, bit-miles plus a
+   non-negative per-target term (what bit-risk-miles adds), and that
+   risk weight with infinity on arcs into a seeded subset of nodes (how
+   Backup, Mrc and Outagesim remove failed nodes). *)
+let weights_of ~seed env tgt miles =
   let n = Rr_graph.Graph.node_count (Riskroute.Env.graph env) in
   let risk = Array.init n (fun i -> Riskroute.Env.node_risk env i) in
+  let rng = Rr_util.Prng.create (Int64.of_int (seed * 104729)) in
+  let removed = Array.init n (fun _ -> Rr_util.Prng.int rng 5 = 0) in
+  let risk_weight k =
+    Array.unsafe_get miles k
+    +. (0.5 *. Array.unsafe_get risk (Array.unsafe_get tgt k))
+  in
   [
     ("miles", fun k -> Array.unsafe_get miles k);
-    ( "risk",
-      fun k ->
-        Array.unsafe_get miles k
-        +. (0.5 *. Array.unsafe_get risk (Array.unsafe_get tgt k)) );
+    ("risk", risk_weight);
+    ("masked", fun k -> if removed.(tgt.(k)) then infinity else risk_weight k);
   ]
 
 let same_answer a b =
@@ -105,7 +111,7 @@ let runners_agree =
                      check_pair ~what:wname q ~off ~tgt ~weight ~reference
                        ~src ~dst)
                    pairs))
-            (weights_of env tgt miles));
+            (weights_of ~seed env tgt miles));
       true)
 
 let runners_agree_under_advisory =
@@ -133,7 +139,7 @@ let runners_agree_under_advisory =
             check_pair ~what:("advisory " ^ wname) q ~off ~tgt ~weight
               ~reference ~src ~dst:(n - 1 - src)
           done)
-        (weights_of env tgt miles);
+        (weights_of ~seed env tgt miles);
       true)
 
 let test_disconnected () =

@@ -323,6 +323,32 @@ let test_availability_mttr_scaling () =
   Alcotest.(check bool) "longer repairs hurt availability" true
     (long.Availability.shortest <= short.Availability.shortest +. 1e-9)
 
+(* MTTR and radius must be positive finite numbers: a NaN MTTR used to
+   print "nan" availability and "-nan nines". *)
+let test_availability_rejects_bad_inputs () =
+  let env =
+    Env.make
+      ~graph:(Rr_graph.Graph.of_edges 3 [ (0, 1); (1, 2) ])
+      ~coords:
+        (Array.map
+           (fun (lat, lon) -> Rr_geo.Coord.make ~lat ~lon)
+           [| (29.76, -95.37); (29.95, -90.07); (30.33, -81.66) |])
+      ~impact:(Array.make 3 (1.0 /. 3.0))
+      ~historical:(Array.make 3 1e-6) ()
+  in
+  List.iter
+    (fun mttr_hours ->
+      Alcotest.check_raises (Printf.sprintf "mttr %g" mttr_hours)
+        (Invalid_argument "Availability.run: MTTR must be a positive finite number")
+        (fun () -> ignore (Availability.run ~samples:4 ~mttr_hours env)))
+    [ 0.0; -1.0; Float.nan ];
+  List.iter
+    (fun radius_miles ->
+      Alcotest.check_raises (Printf.sprintf "radius %g" radius_miles)
+        (Invalid_argument "Outagesim: radius_miles must be a positive finite number")
+        (fun () -> ignore (Availability.run ~samples:4 ~radius_miles env)))
+    [ 0.0; -10.0; Float.nan ]
+
 let () =
   Alcotest.run "routing-extensions"
     [
@@ -356,5 +382,7 @@ let () =
           Alcotest.test_case "nines" `Quick test_availability_nines;
           Alcotest.test_case "posture ordering" `Slow test_availability_ordering;
           Alcotest.test_case "mttr scaling" `Slow test_availability_mttr_scaling;
+          Alcotest.test_case "rejects bad inputs" `Quick
+            test_availability_rejects_bad_inputs;
         ] );
     ]
