@@ -331,30 +331,26 @@ let parse_json_args rest =
 
 (* --- continental-smoke: the large-topology correctness gate CI runs ---
 
-   Builds a continental merged net, routes a deterministic pair set
-   through all three query runners under both weight functions
-   (bit-miles, and bit-risk-miles with the population-proportional
-   impact proxy), and verifies that every runner returns bit-identical
-   (cost, path) while ALT settles strictly fewer nodes than plain on
-   every pair — and at least [min_ratio] times fewer in aggregate on
-   the bit-miles set, where the landmark bound is exact. The
-   settled-node counters are written as a JSON artifact. *)
+   Builds a continental merged net and its cached sparse Env, routes a
+   deterministic pair set through all three runners of the Env's query
+   facade under both weight functions (bit-miles, and bit-risk-miles
+   with the population-proportional impact proxy), and verifies that
+   every runner returns bit-identical (cost, path) while ALT settles
+   strictly fewer nodes than plain on every pair — and at least
+   [min_ratio] times fewer in aggregate on the bit-miles set, where the
+   landmark bound is exact. The settled-node counters are written as a
+   JSON artifact. *)
 
 let run_continental_smoke ~pops ~pairs ~out =
   let ctx = ctx () in
-  let net = Rr_engine.Context.continental ctx ~pops in
-  let q = Rr_engine.Context.net_query ctx net in
+  let env =
+    Rr_engine.Context.env ctx (Rr_engine.Context.continental ctx ~pops)
+  in
+  let q = Rr_engine.Context.query ctx env in
   Rr_graph.Query.prepare q;
   let n = Rr_graph.Query.node_count q in
-  let miles = Rr_graph.Query.arc_miles q in
-  let tgt = Rr_graph.Query.arc_tgt q in
-  let params = Riskroute.Params.default in
-  let node_risk =
-    Array.map
-      (fun r -> params.Riskroute.Params.lambda_h *. params.Riskroute.Params.risk_scale *. r)
-      (Rr_disaster.Riskmap.pop_risks (Rr_engine.Context.riskmap ctx) net)
-  in
-  let impact = Rr_topology.Net.population_fractions net in
+  let miles = Riskroute.Env.arc_miles env
+  and risk = Riskroute.Env.arc_risk env in
   let pair_set =
     let rng = Rr_util.Prng.create 0x5040_CE55L in
     Array.init pairs (fun _ ->
@@ -379,14 +375,13 @@ let run_continental_smoke ~pops ~pairs ~out =
   in
   Array.iter
     (fun (src, dst) ->
-      let kappa = impact.(src) +. impact.(dst) in
+      let kappa = Riskroute.Env.kappa env src dst in
       let weights =
         [
           ("miles", fun k -> Array.unsafe_get miles k);
           ( "risk",
             fun k ->
-              Array.unsafe_get miles k
-              +. (kappa *. Array.unsafe_get node_risk (Array.unsafe_get tgt k)) );
+              Array.unsafe_get miles k +. (kappa *. Array.unsafe_get risk k) );
         ]
       in
       List.iter

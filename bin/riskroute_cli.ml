@@ -169,27 +169,15 @@ let networks_cmd =
 
 (* --- route --- *)
 
-(* "continental-<pops>" selects the synthetic merged CONUS topology of
-   that size (built on demand, memoised in the shared context) instead
-   of a corpus network. Those graphs are routed through the point-to-
-   point query facade — no Env, whose dense distance matrix is
-   gigabytes at this scale. *)
-let continental_pops name =
-  let prefix = "continental-" in
-  let plen = String.length prefix in
-  if
-    String.length name > plen
-    && String.lowercase_ascii (String.sub name 0 plen) = prefix
-  then
-    match int_of_string_opt (String.sub name plen (String.length name - plen)) with
-    | Some pops when pops > 0 -> Some pops
-    | Some _ | None -> None
-  else None
-
+(* "continental-<pops>" ([Rr_explain.continental_pops]) selects the
+   synthetic merged CONUS topology of that size (built on demand,
+   memoised in the shared context) instead of a corpus network. It is
+   routed through the context's cached sparse Env (no n x n distance
+   matrix) and that Env's query facade, so each search can report its
+   runner and settled count. *)
 let route_continental ~pops ~src ~dst ~lambda_h =
   let c = ctx () in
   let net = Rr_engine.Context.continental c ~pops in
-  let q = Rr_engine.Context.net_query c net in
   let pop_id city =
     or_die
       (match Rr_topology.Net.find_pop net ~city with
@@ -198,25 +186,21 @@ let route_continental ~pops ~src ~dst ~lambda_h =
         Error (Printf.sprintf "no %s PoP in continental-%d" city pops))
   in
   let src_id = pop_id src and dst_id = pop_id dst in
-  let miles = Rr_graph.Query.arc_miles q in
-  let tgt = Rr_graph.Query.arc_tgt q in
-  let off = Rr_graph.Query.arc_off q in
   let params = Riskroute.Params.with_lambda_h lambda_h Riskroute.Params.default in
-  let node_risk =
-    Array.map
-      (fun r ->
-        params.Riskroute.Params.lambda_h *. params.Riskroute.Params.risk_scale *. r)
-      (Rr_disaster.Riskmap.pop_risks (Rr_engine.Context.riskmap c) net)
-  in
-  let impact = Rr_topology.Net.population_fractions net in
-  let kappa = impact.(src_id) +. impact.(dst_id) in
+  let env = Rr_engine.Context.env ~params c net in
+  let q = Rr_engine.Context.query c env in
+  let miles = Riskroute.Env.arc_miles env
+  and risk = Riskroute.Env.arc_risk env in
+  let kappa = Riskroute.Env.kappa env src_id dst_id in
   let w_miles k = Array.unsafe_get miles k in
   let w_risk k =
-    Array.unsafe_get miles k
-    +. (kappa *. Array.unsafe_get node_risk (Array.unsafe_get tgt k))
+    Array.unsafe_get miles k +. (kappa *. Array.unsafe_get risk k)
   in
   Rr_graph.Query.prepare q;
-  let path_cost weight path = Rr_graph.Dijkstra.path_cost ~off ~tgt ~weight path in
+  let path_cost weight path =
+    Rr_graph.Dijkstra.path_cost ~off:(Riskroute.Env.arc_off env)
+      ~tgt:(Riskroute.Env.arc_tgt env) ~weight path
+  in
   let describe label weight =
     match Rr_graph.Query.run_stats q ~weight ~src:src_id ~dst:dst_id with
     | None, _, _ ->
@@ -255,7 +239,7 @@ let route_cmd =
     Arg.(value & opt int 40 & info [ "tick" ] ~doc:"Advisory index for --storm.")
   in
   let run () name src dst lambda_h storm tick =
-    match continental_pops name with
+    match or_die (Rr_explain.continental_pops name) with
     | Some pops -> route_continental ~pops ~src ~dst ~lambda_h
     | None ->
     let net = or_die (find_net name) in
@@ -311,7 +295,8 @@ let explain_cmd =
       required
       & pos 0 (some string) None
       & info [] ~docv:"NETWORK"
-          ~doc:"Network name (corpus entry or continental-<pops>).")
+          ~doc:"Network name (corpus entry or continental-<pops>, \
+                1 <= pops <= 50000).")
   in
   let src_pos =
     Arg.(
@@ -924,7 +909,7 @@ let replay_cmd =
     in
     let storm = or_die (find_storm storm_name) in
     let net =
-      match continental_pops name with
+      match or_die (Rr_explain.continental_pops name) with
       | Some pops -> Rr_engine.Context.continental (ctx ()) ~pops
       | None -> or_die (find_net name)
     in

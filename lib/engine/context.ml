@@ -19,7 +19,7 @@ type t = {
   catalog : Rr_disaster.Catalog.t Lazy.t;
   blocks : Rr_census.Block.t array Lazy.t;
   lock : Mutex.t;
-  envs : (string, Riskroute.Env.t) Hashtbl.t;
+  envs : Riskroute.Env.t Lru.t;
   trees : Rr_graph.Dijkstra.tree Lru.t;
   (* Fingerprint memos, keyed by physical identity: zoo networks and the
      geometry arrays shared by [Env.with_advisory] / [with_params]
@@ -47,6 +47,7 @@ let c_env_hit = Rr_obs.Counter.make "engine.cache.env_hit"
 let c_env_miss = Rr_obs.Counter.make "engine.cache.env_miss"
 let c_tree_hit = Rr_obs.Counter.make "engine.cache.tree_hit"
 let c_tree_miss = Rr_obs.Counter.make "engine.cache.tree_miss"
+let c_env_evict = Rr_obs.Counter.make "engine.cache.env_evictions"
 let c_tree_evict = Rr_obs.Counter.make "engine.cache.tree_evictions"
 let c_settled = Rr_obs.Counter.make "engine.tree_settled_nodes"
 let c_delta_envs = Rr_obs.Counter.make "engine.delta.patched_envs"
@@ -56,6 +57,8 @@ let c_delta_repaired = Rr_obs.Counter.make "engine.delta.trees_repaired"
 let c_delta_evicted = Rr_obs.Counter.make "engine.delta.trees_evicted"
 
 let default_tree_cache_cap = 4096
+
+let env_cache_cap = 256
 
 let tree_cache_cap_from_env () =
   match Rr_obs.Envvar.(raw tree_cache) with
@@ -96,7 +99,7 @@ let create ?zoo ?tree_cache_cap () =
     catalog = lazy (Rr_disaster.Catalog.shared ());
     blocks = lazy (Rr_census.Synthetic.shared ());
     lock = Mutex.create ();
-    envs = Hashtbl.create 64;
+    envs = Lru.create ~capacity:env_cache_cap;
     trees = Lru.create ~capacity:cap;
     net_memo = [];
     geo_memo = [];
@@ -189,43 +192,68 @@ let risk_fp t env_ =
     with_lock t (fun () -> t.risk_memo <- bounded_memo_add t.risk_memo (env_, fp));
     fp
 
-let env ?(params = Riskroute.Params.default) ?advisory t n =
-  let key =
-    Fingerprint.combine
-      [ net_fp t n; Fingerprint.params params; Fingerprint.advisory advisory ]
-  in
+let env_key t n params advisory =
+  Fingerprint.combine
+    [ net_fp t n; Fingerprint.params params; Fingerprint.advisory advisory ]
+
+let find_env t key =
   match
     with_lock t (fun () ->
-        match Hashtbl.find_opt t.envs key with
+        match Lru.find t.envs key with
         | Some e ->
           t.env_hits <- t.env_hits + 1;
           Some e
         | None -> None)
   with
-  | Some e ->
+  | Some _ as hit ->
     Rr_obs.Counter.incr c_env_hit;
-    e
+    hit
+  | None -> None
+
+let record_evictions counter ~name evicted =
+  if evicted > 0 then begin
+    Rr_obs.Counter.add counter evicted;
+    Rr_obs.Flight.record ~kind:"evict" ~name
+      ~detail:(Printf.sprintf "evicted=%d" evicted) ()
+  end
+
+(* Registers [e] under [key] and returns the cached value with the
+   number of LRU evictions; [update] runs under the same lock. A
+   concurrent build of the same key may have won: results identical. *)
+let register_env t key e ~update =
+  let e, evicted =
+    with_lock t (fun () ->
+        update ();
+        match Lru.find t.envs key with
+        | Some existing -> (existing, 0)
+        | None -> (e, Lru.add t.envs key e))
+  in
+  record_evictions c_env_evict ~name:"engine.env_lru" evicted;
+  e
+
+let env ?(params = Riskroute.Params.default) ?advisory t n =
+  let key = env_key t n params advisory in
+  match find_env t key with
+  | Some e -> e
   | None ->
     let built =
-      (* Continental-scale nets are synthetic: population fractions are
-         the impact model (the census join is both slow and meaningless
-         there), and Env.of_net picks its sparse representation by the
-         same node-count threshold. *)
+      (* Continental nets are synthetic: population fractions are the
+         impact model (the census join is both slow and meaningless
+         there), for every net [continental] built and for anything past
+         the node-count threshold at which Env.of_net goes sparse. *)
       let impact =
-        if Rr_topology.Net.pop_count n > Riskroute.Env.dense_threshold then
-          Some (Rr_topology.Net.population_fractions n)
+        if
+          Rr_topology.Net.pop_count n > Riskroute.Env.dense_threshold
+          || with_lock t (fun () ->
+                 List.exists (fun (_, m) -> m == n) t.continentals)
+        then Some (Rr_topology.Net.population_fractions n)
         else None
       in
       Riskroute.Env.of_net ~params ~riskmap:(riskmap t) ?impact ?advisory n
     in
     Rr_obs.Counter.incr c_env_miss;
-    with_lock t (fun () ->
-        t.env_misses <- t.env_misses + 1;
-        match Hashtbl.find_opt t.envs key with
-        | Some e -> e (* concurrent build of the same key; results identical *)
-        | None ->
-          Hashtbl.replace t.envs key built;
-          built)
+    register_env t key built ~update:(fun () ->
+        t.env_misses <- t.env_misses + 1)
 
 let interdomain t =
   match with_lock t (fun () -> t.interdomain) with
@@ -277,11 +305,7 @@ let cached_tree t ~key ~compute =
             evicted := ev;
             tr)
     in
-    if !evicted > 0 then begin
-      Rr_obs.Counter.add c_tree_evict !evicted;
-      Rr_obs.Flight.record ~kind:"evict" ~name:"engine.tree_lru"
-        ~detail:(Printf.sprintf "evicted=%d" !evicted) ()
-    end;
+    record_evictions c_tree_evict ~name:"engine.tree_lru" !evicted;
     result
 
 let dist_trees t env_ =
@@ -342,21 +366,9 @@ let patched_env ?advisory t n ~parent =
   let params = Riskroute.Env.params parent in
   if Riskroute.Env.node_count parent <> Rr_topology.Net.pop_count n then
     invalid_arg "Context.patched_env: parent/network node-count mismatch";
-  let key =
-    Fingerprint.combine
-      [ net_fp t n; Fingerprint.params params; Fingerprint.advisory advisory ]
-  in
-  match
-    with_lock t (fun () ->
-        match Hashtbl.find_opt t.envs key with
-        | Some e ->
-          t.env_hits <- t.env_hits + 1;
-          Some e
-        | None -> None)
-  with
-  | Some e ->
-    Rr_obs.Counter.incr c_env_hit;
-    e
+  let key = env_key t n params advisory in
+  match find_env t key with
+  | Some e -> e
   | None ->
     let d =
       Rr_forecast.Riskfield.diff_field
@@ -462,18 +474,13 @@ let patched_env ?advisory t n ~parent =
         (Printf.sprintf "arcs=%d kept=%d repaired=%d evicted=%d"
            (Array.length arcs) !kept !repaired !evicted)
       ();
-    with_lock t (fun () ->
+    register_env t key child ~update:(fun () ->
         t.env_patched <- t.env_patched + 1;
         t.delta_patched_arcs <- t.delta_patched_arcs + Array.length arcs;
         t.delta_trees_kept <- t.delta_trees_kept + !kept;
         t.delta_trees_repaired <- t.delta_trees_repaired + !repaired;
         t.delta_trees_evicted <- t.delta_trees_evicted + !evicted;
-        t.settled_nodes <- t.settled_nodes + !settled;
-        match Hashtbl.find_opt t.envs key with
-        | Some e -> e (* concurrent build of the same key; results identical *)
-        | None ->
-          Hashtbl.replace t.envs key child;
-          child)
+        t.settled_nodes <- t.settled_nodes + !settled)
 
 (* Wire an environment's query facade to the tree LRU: landmark
    distance trees then live alongside every other cached tree for the
@@ -484,11 +491,10 @@ let query t env_ =
   Rr_graph.Query.set_tree_provider q (dist_trees t env_);
   q
 
-(* Env-free facade for a network: continental graphs skip the dense
-   O(n^2) distance matrix entirely — per-arc miles are computed once per
-   undirected edge (mirrored through the reverse-CSR mate, matching the
-   dense path bitwise), so the same geometry fingerprint and tree-cache
-   namespace unify with any Env built over the same net. *)
+(* Env-free facade for a network's geometry: per-arc miles are computed
+   once per undirected edge (mirrored through the reverse-CSR mate,
+   matching Env's arrays bitwise), so the same geometry fingerprint and
+   tree-cache namespace unify with any Env built over the same net. *)
 let build_net_query t (net : Rr_topology.Net.t) =
   let n = Rr_topology.Net.pop_count net in
   let off, tgt = Rr_graph.Graph.to_csr net.Rr_topology.Net.graph in
@@ -580,7 +586,7 @@ let stats t = with_lock t (fun () -> snapshot t)
    (name, value) pairs in a fixed order. *)
 let stats_fields t =
   let s, env_len, tree_len =
-    with_lock t (fun () -> (snapshot t, Hashtbl.length t.envs, Lru.length t.trees))
+    with_lock t (fun () -> (snapshot t, Lru.length t.envs, Lru.length t.trees))
   in
   [
     ("env.hits", s.env_hits);
@@ -620,4 +626,4 @@ let stats_json t =
 
 let tree_cache_length t = with_lock t (fun () -> Lru.length t.trees)
 let tree_cache_capacity t = Lru.capacity t.trees
-let env_cache_length t = with_lock t (fun () -> Hashtbl.length t.envs)
+let env_cache_length t = with_lock t (fun () -> Lru.length t.envs)

@@ -5,8 +5,8 @@
     catalogue and one census, and memoises
 
     - {!Riskroute.Env} builds, keyed by (network, params, advisory)
-      fingerprints — every experiment asking for the same environment
-      gets the same physically-shared value;
+      fingerprints in a bounded LRU — every experiment asking for the
+      same environment gets the same physically-shared value;
     - Dijkstra shortest-path trees, keyed by (environment fingerprint,
       source, weight mode) in a bounded LRU — lambda sweeps and advisory
       ticks share pure-distance trees because those depend only on the
@@ -43,6 +43,12 @@ type stats = {
 val default_tree_cache_cap : int
 (** 4096 trees, overridable per-context or via the
     [RISKROUTE_TREE_CACHE] environment variable. *)
+
+val env_cache_cap : int
+(** 256 environments per context, a fixed constant: above the 192
+    environments one storm-ticks pass registers and the ones
+    [report all] builds, so only a stream of distinct parameters (e.g.
+    [/explain] with many [lambda_h] values) evicts. *)
 
 val create : ?zoo:Rr_topology.Zoo.t -> ?tree_cache_cap:int -> unit -> t
 (** A fresh context (empty caches). [zoo] defaults to
@@ -86,7 +92,13 @@ val env :
   Rr_topology.Net.t ->
   Riskroute.Env.t
 (** The environment for (net, params, advisory), built on first use and
-    content-addressed thereafter. *)
+    content-addressed thereafter. The cache holds at most
+    {!env_cache_cap} environments, evicting the least recently used;
+    evictions count in [engine.cache.env_evictions] and record an
+    [evict] flight event, like the tree LRU's. Nets this context built
+    with {!continental}, and any net past
+    {!Riskroute.Env.dense_threshold}, take
+    {!Rr_topology.Net.population_fractions} as their impact. *)
 
 val patched_env :
   ?advisory:Rr_forecast.Advisory.t ->
@@ -113,6 +125,18 @@ val patched_env :
     [engine.delta.*] counters. [parent] must be an environment over the
     same network (typically the previous tick's). *)
 
+val geometry_fp : t -> Riskroute.Env.t -> Fingerprint.t
+(** {!Fingerprint.env_geometry}, memoised by the physical identity of
+    the environment's arc-miles array (shared by every derivative of
+    one build): the key {!dist_trees} and the landmark trees of
+    {!query} live under. *)
+
+val risk_fp : t -> Riskroute.Env.t -> Fingerprint.t
+(** The environment's risk fingerprint, memoised by physical identity:
+    {!Fingerprint.env_risk} for a built environment, the chained
+    {!Fingerprint.risk_delta} for one {!patched_env} registered — the
+    key {!risk_trees} live under. *)
+
 val dist_trees : t -> Riskroute.Env.t -> int -> Rr_graph.Dijkstra.tree
 (** [dist_trees ctx env src] is the pure bit-miles shortest-path tree
     from [src], bitwise-identical to {!Riskroute.Router.shortest_tree}.
@@ -136,11 +160,12 @@ val query : t -> Riskroute.Env.t -> Rr_graph.Query.t
 
 val net_query : t -> Rr_topology.Net.t -> Rr_graph.Query.t
 (** A query facade straight over a network's CSR — no {!Riskroute.Env}
-    and no dense distance matrix, which is what makes 10k-50k-PoP
-    continental graphs routable (the dense matrix alone would be
-    gigabytes). Per-arc miles match an Env over the same net bitwise,
-    and the geometry fingerprint (hence the tree-cache namespace) is
-    shared. Memoised per context by physical identity. *)
+    and no risk vectors, for callers that only need the geometry (the
+    bench query kernels). Routing and explaining continental nets go
+    through the sparse {!env} instead. Per-arc miles match an Env over
+    the same net bitwise, and the geometry fingerprint (hence the
+    tree-cache namespace, landmark trees included) is shared. Memoised
+    per context by physical identity. *)
 
 val continental :
   ?spec:Rr_topology.Builder.continental_spec -> t -> pops:int ->

@@ -3,12 +3,14 @@
    Everything here is re-derivation, not re-implementation: per-arc
    terms come from Riskroute.Metric.term (whose products replay
    Env.compute_node_risk bitwise), arc weights replay the exact closures
-   Router/route_continental hand to Rr_graph.Query, and route totals are
-   the query costs themselves. The headline invariant — the left fold of
-   per-arc term weights equals the engine's bit-risk-mile total
-   bit-for-bit — therefore holds by construction, and [side.exact]
-   asserts it on every explained route rather than trusting the
-   argument. *)
+   Router hands to Rr_graph.Query, and route totals are the query costs
+   themselves. Corpus and continental networks share one pipeline over
+   the Env that Context caches (sparse past the dense threshold), and
+   the fingerprints come from Context's memo. The headline invariant —
+   the left fold of per-arc term weights equals the engine's
+   bit-risk-mile total bit-for-bit — therefore holds by construction,
+   and [side.exact] asserts it on every explained route rather than
+   trusting the argument. *)
 
 let c_requests = Rr_obs.Counter.make "explain.requests"
 
@@ -175,7 +177,7 @@ let with_observed f =
   (match r with Error _ -> Rr_obs.Counter.incr c_errors | Ok _ -> ());
   r
 
-(* --- corpus networks: the Env pipeline --- *)
+(* --- the Env pipeline, corpus and continental --- *)
 
 let explain ?params ?advisory ?(top_k = default_top_k) ctx net ~src ~dst =
   with_observed @@ fun () ->
@@ -188,6 +190,9 @@ let explain ?params ?advisory ?(top_k = default_top_k) ctx net ~src ~dst =
     let cache_before = Rr_engine.Context.stats_fields ctx in
     let env = Rr_engine.Context.env ?params ?advisory ctx net in
     let q = Rr_engine.Context.query ctx env in
+    (* Past the dense threshold the landmarks pay for themselves at
+       once, and they come from the tree LRU. *)
+    if not (Riskroute.Env.dense env) then Rr_graph.Query.prepare q;
     let kappa = Riskroute.Env.kappa env src dst in
     let miles = Riskroute.Env.arc_miles env in
     let risk = Riskroute.Env.arc_risk env in
@@ -261,8 +266,8 @@ let explain ?params ?advisory ?(top_k = default_top_k) ctx net ~src ~dst =
             [
               ("params", Rr_engine.Fingerprint.params params);
               ("advisory", Rr_engine.Fingerprint.advisory advisory);
-              ("geometry", Rr_engine.Fingerprint.env_geometry env);
-              ("risk", Rr_engine.Fingerprint.env_risk env);
+              ("geometry", Rr_engine.Context.geometry_fp ctx env);
+              ("risk", Rr_engine.Context.risk_fp ctx env);
             ];
           cache_before;
           cache_after = Rr_engine.Context.stats_fields ctx;
@@ -270,131 +275,12 @@ let explain ?params ?advisory ?(top_k = default_top_k) ctx net ~src ~dst =
         }
   end
 
-(* --- continental nets: the Env-free CSR pipeline ---
-
-   Mirrors route_continental in the CLI: node risk is
-   [lambda_h * risk_scale * pop_risk] (no forecast surface at this
-   scale, so the fcst term is identically 0 and [hist +. 0.0] preserves
-   the bit pattern — risks are non-negative), impact fractions come from
-   the census assignment, and weights go through the shared net_query
-   facade. *)
-let explain_continental ?params ?(top_k = default_top_k) ctx ~pops ~src ~dst =
-  with_observed @@ fun () ->
-  let params = Option.value params ~default:Riskroute.Params.default in
-  let cache_before = Rr_engine.Context.stats_fields ctx in
-  let net = Rr_engine.Context.continental ctx ~pops in
-  let n = Rr_topology.Net.pop_count net in
-  if src < 0 || src >= n || dst < 0 || dst >= n then
-    Error
-      (Printf.sprintf "PoP id out of range for continental-%d (want 0..%d)"
-         pops (n - 1))
-  else begin
-    let q = Rr_engine.Context.net_query ctx net in
-    let miles = Rr_graph.Query.arc_miles q in
-    let tgt = Rr_graph.Query.arc_tgt q in
-    let off = Rr_graph.Query.arc_off q in
-    let node_risk =
-      Array.map
-        (fun r ->
-          params.Riskroute.Params.lambda_h
-          *. params.Riskroute.Params.risk_scale *. r)
-        (Rr_disaster.Riskmap.pop_risks (Rr_engine.Context.riskmap ctx) net)
-    in
-    let impact = Rr_topology.Net.population_fractions net in
-    let kappa = impact.(src) +. impact.(dst) in
-    let w_miles k = Array.unsafe_get miles k in
-    let w_risk k =
-      Array.unsafe_get miles k
-      +. (kappa *. Array.unsafe_get node_risk (Array.unsafe_get tgt k))
-    in
-    let name_of i = (Rr_topology.Net.pop net i).Rr_topology.Pop.name in
-    let term_of a b =
-      let rec scan k =
-        if k >= off.(a + 1) then
-          invalid_arg "Rr_explain: path arc missing from CSR"
-        else if tgt.(k) = b then k
-        else scan (k + 1)
-      in
-      let k = scan off.(a) in
-      let hist = node_risk.(b) in
-      {
-        tail = a;
-        head = b;
-        tail_name = name_of a;
-        head_name = name_of b;
-        miles = miles.(k);
-        hist;
-        fcst = 0.0;
-        weight = miles.(k) +. (kappa *. (hist +. 0.0));
-      }
-    in
-    Rr_graph.Query.prepare q;
-    match
-      ( Rr_graph.Query.run_stats q ~weight:w_risk ~src ~dst,
-        Rr_graph.Query.run_stats q ~weight:w_miles ~src ~dst )
-    with
-    | (None, _, _), _ | _, (None, _, _) ->
-      Error
-        (Printf.sprintf "%s and %s are disconnected in continental-%d"
-           (name_of src) (name_of dst) pops)
-    | ( (Some (rr_cost, rr_path), rr_runner, rr_settled),
-        (Some (_, sh_path), sh_runner, sh_settled) ) ->
-      let riskroute =
-        side_of ~label:"riskroute" ~name_of ~kappa ~term_of
-          ~risk_total:rr_cost
-          ~runner:(Rr_graph.Query.runner_name rr_runner)
-          ~settled:rr_settled rr_path
-      in
-      let shortest =
-        (* No Env at this scale, so the shortest path's bit-risk miles
-           *is* the term fold — the same left fold of the same w_risk
-           values the query would have accumulated. *)
-        let arcs_fold path =
-          let rec go acc = function
-            | a :: (b :: _ as rest) -> go (acc +. (term_of a b).weight) rest
-            | [ _ ] | [] -> acc
-          in
-          go 0.0 path
-        in
-        side_of ~label:"shortest" ~name_of ~kappa ~term_of
-          ~risk_total:(arcs_fold sh_path)
-          ~runner:(Rr_graph.Query.runner_name sh_runner)
-          ~settled:sh_settled sh_path
-      in
-      Ok
-        {
-          net = Printf.sprintf "continental-%d" pops;
-          nodes = n;
-          src;
-          dst;
-          src_name = name_of src;
-          dst_name = name_of dst;
-          params;
-          advisory = None;
-          impact_src = impact.(src);
-          impact_dst = impact.(dst);
-          kappa;
-          riskroute;
-          shortest;
-          diff = diff_of ~riskroute ~shortest;
-          top_pops = top_pops ~top_k ~kappa riskroute;
-          top_arcs = top_arcs ~top_k ~kappa riskroute;
-          fingerprints =
-            [
-              ("params", Rr_engine.Fingerprint.params params);
-              ("advisory", Rr_engine.Fingerprint.advisory None);
-              ( "geometry",
-                Rr_engine.Fingerprint.geometry
-                  ~n:(Rr_graph.Query.node_count q)
-                  ~off ~tgt ~miles );
-            ];
-          cache_before;
-          cache_after = Rr_engine.Context.stats_fields ctx;
-          domains = Rr_util.Parallel.domain_count ();
-        }
-  end
+let explain_continental ?params ?top_k ctx ~pops ~src ~dst =
+  explain ?params ?top_k ctx (Rr_engine.Context.continental ctx ~pops) ~src ~dst
 
 (* --- name-based entry point (CLI, /explain) --- *)
+
+let max_continental_pops = 50_000
 
 let continental_pops name =
   let prefix = "continental-" in
@@ -403,12 +289,15 @@ let continental_pops name =
     String.length name > plen
     && String.lowercase_ascii (String.sub name 0 plen) = prefix
   then
-    match
-      int_of_string_opt (String.sub name plen (String.length name - plen))
-    with
-    | Some pops when pops > 0 -> Some pops
-    | Some _ | None -> None
-  else None
+    let size = String.sub name plen (String.length name - plen) in
+    match int_of_string_opt size with
+    | Some pops when pops >= 1 && pops <= max_continental_pops -> Ok (Some pops)
+    | _ when String.for_all (function '0' .. '9' -> true | _ -> false) size ->
+      Error
+        (Printf.sprintf "unsupported size %s (continental-<pops> takes 1..%d)"
+           name max_continental_pops)
+    | _ -> Ok None
+  else Ok None
 
 let resolve_pop net ~what name =
   match Rr_topology.Net.find_pop net ~city:name with
@@ -443,7 +332,10 @@ let explain_named ?lambda_h ?storm ?(tick = 40) ?top_k ctx ~net ~src ~dst =
       else Ok advisories.(tick)
   in
   match continental_pops net with
-  | Some pops ->
+  | Error e ->
+    Rr_obs.Counter.incr c_errors;
+    Error e
+  | Ok (Some pops) ->
     if storm <> None then
       Error
         (Printf.sprintf
@@ -462,7 +354,7 @@ let explain_named ?lambda_h ?storm ?(tick = 40) ?top_k ctx ~net ~src ~dst =
         Rr_obs.Counter.incr c_errors;
         Error e
     end
-  | None -> (
+  | Ok None -> (
     match Rr_engine.Context.net ctx net with
     | None ->
       Rr_obs.Counter.incr c_errors;

@@ -82,9 +82,11 @@ type t = {
   top_pops : contributor list;  (** descending risk, ties by id *)
   top_arcs : arc list;  (** descending [kappa * (hist + fcst)] *)
   fingerprints : (string * string) list;
-      (** [params] / [advisory] / [geometry] / [risk] content digests
-          ({!Rr_engine.Fingerprint}); continental records omit [risk]
-          (no environment at that scale) *)
+      (** [params] / [advisory] / [geometry] / [risk] content digests,
+          read through {!Rr_engine.Context.geometry_fp} /
+          {!Rr_engine.Context.risk_fp}: the tree-cache keys, so an
+          environment {!Rr_engine.Context.patched_env} registered
+          reports its chained risk fingerprint *)
   cache_before : (string * int) list;
       (** {!Rr_engine.Context.stats_fields} sampled before the
           computation; the delta against [cache_after] is the cache
@@ -105,9 +107,12 @@ val explain :
   src:int ->
   dst:int ->
   (t, string) result
-(** Explain one pair on a corpus network through the cached Env
-    pipeline. [top_k] bounds [top_pops] / [top_arcs] (default 5).
-    Errors on out-of-range ids or a disconnected pair. *)
+(** Explain one pair through the environment {!Rr_engine.Context.env}
+    caches — dense for corpus networks, sparse for continental ones,
+    whose landmark trees come from the tree LRU — so a repeated query
+    costs its searches and its path, not the network. [top_k] bounds
+    [top_pops] / [top_arcs] (default 5). Errors on out-of-range ids or
+    a disconnected pair. *)
 
 val explain_continental :
   ?params:Riskroute.Params.t ->
@@ -117,9 +122,20 @@ val explain_continental :
   src:int ->
   dst:int ->
   (t, string) result
-(** Explain one pair on the synthetic continental-[pops] topology
-    through the Env-free CSR pipeline ({!Rr_engine.Context.net_query}).
-    The forecast term is identically zero at this scale. *)
+(** [explain] on the synthetic continental-[pops] topology
+    ({!Rr_engine.Context.continental}). Its environment takes
+    {!Rr_topology.Net.population_fractions} as impact and has no
+    forecast, so the forecast term is identically zero. *)
+
+val max_continental_pops : int
+(** 50,000: the largest [continental-<pops>] a name may select. *)
+
+val continental_pops : string -> (int option, string) result
+(** [Ok (Some pops)] for a [continental-<pops>] name with
+    [1 <= pops <= max_continental_pops] (case-insensitive prefix),
+    [Ok None] for any other name, and [Error] naming the supported range
+    for a [continental-<digits>] size outside it — outside input must
+    not build (and cache) an arbitrarily large topology. *)
 
 val explain_named :
   ?lambda_h:float ->
@@ -132,10 +148,10 @@ val explain_named :
   dst:string ->
   (t, string) result
 (** Name-based front door shared by the CLI subcommand and the live
-    endpoint: [net] is a corpus name or [continental-<pops>]; [src] /
-    [dst] are PoP city names or numeric ids; [storm] ([irene] /
-    [katrina] / [sandy]) overlays the advisory at [tick] (default 40,
-    corpus networks only). *)
+    endpoint: [net] is a corpus name or [continental-<pops>] (see
+    {!continental_pops}); [src] / [dst] are PoP city names or numeric
+    ids; [storm] ([irene] / [katrina] / [sandy]) overlays the advisory
+    at [tick] (default 40, corpus networks only). *)
 
 val to_json : t -> string
 (** Schema-{!schema_version} JSON. Floats are printed with [%.17g], so

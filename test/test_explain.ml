@@ -138,41 +138,220 @@ let test_storm_overlay_exact () =
   | Ok _ -> Alcotest.fail "unknown storm accepted"
   | Error e -> Alcotest.(check bool) "unknown storm named" true (e <> "")
 
-(* --- the continental pipeline, across pool sizes --- *)
+(* --- continental networks, across pool sizes ---
 
-let test_continental_exact_all_pools () =
+   The reference rebuilds Eq. 1 from the raw inputs without an Env,
+   over net_query's own CSR: node risk
+   [lambda_h * risk_scale * pop_risk], kappa from the population
+   fractions, searched by the plain kernel. Sizes on both sides of the
+   dense threshold: a small continental net is still impact-weighted by
+   population fractions. *)
+
+let continental_pairs ~n =
+  let rng = Random.State.make [| 0xc2000 |] in
+  List.init 8 (fun _ ->
+      let src = Random.State.int rng n in
+      (src, (src + 1 + Random.State.int rng (n - 1)) mod n))
+
+let continental_exact_all_pools pops =
   let ctx = Context.create () in
+  let net = Context.continental ctx ~pops in
+  let q = Context.net_query ctx net in
+  let n = Rr_graph.Query.node_count q
+  and off = Rr_graph.Query.arc_off q
+  and tgt = Rr_graph.Query.arc_tgt q
+  and miles = Rr_graph.Query.arc_miles q in
+  let p = Riskroute.Params.default in
+  let node_risk =
+    Array.map
+      (fun r ->
+        p.Riskroute.Params.lambda_h *. p.Riskroute.Params.risk_scale *. r)
+      (Rr_disaster.Riskmap.pop_risks (Context.riskmap ctx) net)
+  in
+  let impact = Rr_topology.Net.population_fractions net in
+  let search weight ~src ~dst =
+    match Rr_graph.Dijkstra.single_pair_flat ~n ~off ~tgt ~weight ~src ~dst with
+    | Some r -> r
+    | None -> Alcotest.failf "reference finds no path %d -> %d" src dst
+  in
+  let pairs = continental_pairs ~n in
   let runs =
     List.map
       (fun k ->
         with_domains k (fun () ->
             ( k,
-              explain_exn ctx ~net:"continental-2000" ~src:"Chicago"
-                ~dst:"Miami" )))
+              List.map
+                (fun (src, dst) ->
+                  match Explain.explain_continental ctx ~pops ~src ~dst with
+                  | Ok t -> t
+                  | Error e -> Alcotest.failf "explain %d -> %d: %s" src dst e)
+                pairs )))
       pool_sizes
   in
+  let risk_fp = Rr_engine.Fingerprint.env_risk (Context.env ctx net) in
   List.iter
-    (fun (k, t) ->
-      let label side = Printf.sprintf "continental, %d domains, %s" k side in
-      check_side (label "riskroute") t.Explain.kappa t.Explain.riskroute;
-      check_side (label "shortest") t.Explain.kappa t.Explain.shortest;
-      (* No Env at this scale, so no forecast term and no risk
-         fingerprint. *)
-      check_bits (label "no forecast term") 0.0
-        t.Explain.riskroute.Explain.fcst_contribution;
-      Alcotest.(check bool) (label "risk fingerprint omitted") false
-        (List.mem_assoc "risk" t.Explain.fingerprints))
-    runs;
-  match runs with
-  | (_, base) :: rest ->
-    List.iter
-      (fun (k, t) ->
-        check_bits
-          (Printf.sprintf "continental totals at %d domains match 1 domain" k)
-          base.Explain.riskroute.Explain.bit_risk_miles
-          t.Explain.riskroute.Explain.bit_risk_miles)
-      rest
-  | [] -> ()
+    (fun (k, ts) ->
+      List.iter2
+        (fun (src, dst) t ->
+          let label side =
+            Printf.sprintf "continental-%d %d->%d, %d domains, %s" pops src
+              dst k side
+          in
+          check_side (label "riskroute") t.Explain.kappa t.Explain.riskroute;
+          check_side (label "shortest") t.Explain.kappa t.Explain.shortest;
+          check_bits (label "no forecast term") 0.0
+            t.Explain.riskroute.Explain.fcst_contribution;
+          let kappa = impact.(src) +. impact.(dst) in
+          check_bits (label "kappa from population fractions") kappa
+            t.Explain.kappa;
+          let w_risk k = miles.(k) +. (kappa *. node_risk.(tgt.(k))) in
+          let cost, path = search w_risk ~src ~dst in
+          Alcotest.(check (list int)) (label "riskroute path") path
+            t.Explain.riskroute.Explain.path;
+          check_bits (label "riskroute cost") cost
+            t.Explain.riskroute.Explain.bit_risk_miles;
+          let cost, path = search (fun k -> miles.(k)) ~src ~dst in
+          Alcotest.(check (list int)) (label "shortest path") path
+            t.Explain.shortest.Explain.path;
+          check_bits (label "shortest miles") cost
+            t.Explain.shortest.Explain.bit_miles;
+          check_bits (label "shortest bit-risk miles")
+            (Rr_graph.Dijkstra.path_cost ~off ~tgt ~weight:w_risk path)
+            t.Explain.shortest.Explain.bit_risk_miles;
+          Alcotest.(check (option string))
+            (label "risk fingerprint is the env's")
+            (Some risk_fp)
+            (List.assoc_opt "risk" t.Explain.fingerprints))
+        pairs ts)
+    runs
+
+let test_continental_exact_all_pools () =
+  List.iter continental_exact_all_pools [ 500; 2000 ]
+
+(* The network-sized work happens once: a repeated continental explain
+   builds no environment and computes no tree. *)
+let test_continental_second_explain_cached () =
+  let ctx = Context.create () in
+  let explain () =
+    explain_exn ctx ~net:"continental-2000" ~src:"Chicago" ~dst:"Miami"
+  in
+  let delta t name =
+    List.assoc name t.Explain.cache_after
+    - List.assoc name t.Explain.cache_before
+  in
+  let first = explain () in
+  Alcotest.(check int) "first explain builds the env" 1
+    (delta first "env.misses");
+  let second = explain () in
+  Alcotest.(check int) "second explain builds no env" 0
+    (delta second "env.misses");
+  Alcotest.(check int) "second explain hits the env" 1
+    (delta second "env.hits");
+  Alcotest.(check int) "second explain computes no tree" 0
+    (delta second "tree.misses");
+  Alcotest.(check int) "stats agree: one env built" 1
+    (Context.stats ctx).Context.env_misses;
+  Alcotest.(check int) "stats agree: trees computed once"
+    (delta first "tree.misses")
+    (Context.stats ctx).Context.tree_misses;
+  check_bits "same answer" first.Explain.riskroute.Explain.bit_risk_miles
+    second.Explain.riskroute.Explain.bit_risk_miles
+
+(* Fingerprints come from Context's memo and name the same content a
+   fresh hash of the env does. *)
+let test_fingerprints_are_the_envs () =
+  let ctx = Context.create () in
+  let net = Context.require_net ctx "Level3" in
+  let pop city = Option.get (Rr_topology.Net.find_pop net ~city) in
+  let sandy = Rr_forecast.Track.advisories Rr_forecast.Track.sandy in
+  List.iter
+    (fun (label, advisory) ->
+      let t =
+        match
+          Explain.explain ?advisory ctx net ~src:(pop "Houston")
+            ~dst:(pop "Boston")
+        with
+        | Ok t -> t
+        | Error e -> Alcotest.failf "explain failed: %s" e
+      in
+      let env = Context.env ?advisory ctx net in
+      let fp name = List.assoc_opt name t.Explain.fingerprints in
+      Alcotest.(check (option string)) (label ^ ": geometry")
+        (Some (Rr_engine.Fingerprint.env_geometry env)) (fp "geometry");
+      Alcotest.(check (option string)) (label ^ ": risk")
+        (Some (Rr_engine.Fingerprint.env_risk env)) (fp "risk");
+      Alcotest.(check (option string)) (label ^ ": advisory")
+        (Some (Rr_engine.Fingerprint.advisory advisory)) (fp "advisory"))
+    [ ("no storm", None); ("sandy 40", Some (List.nth sandy 40)) ]
+
+(* Outside input cannot select an arbitrarily large topology. *)
+let test_continental_size_bound () =
+  let ok = Alcotest.(result (option int) string) in
+  Alcotest.check ok "smallest" (Ok (Some 1))
+    (Explain.continental_pops "continental-1");
+  Alcotest.check ok "largest, any case" (Ok (Some 50_000))
+    (Explain.continental_pops "Continental-50000");
+  Alcotest.check ok "corpus name" (Ok None) (Explain.continental_pops "Level3");
+  Alcotest.check ok "not a size" (Ok None)
+    (Explain.continental_pops "continental-abc");
+  let names_range label = function
+    | Ok _ -> Alcotest.failf "%s accepted" label
+    | Error e ->
+      Alcotest.(check bool) (label ^ " names the range") true
+        (let needle = string_of_int Explain.max_continental_pops in
+         let n = String.length needle and m = String.length e in
+         let rec go i =
+           i + n <= m && (String.sub e i n = needle || go (i + 1))
+         in
+         go 0)
+  in
+  names_range "continental-50001"
+    (Explain.continental_pops "continental-50001");
+  names_range "continental-0" (Explain.continental_pops "continental-0");
+  let ctx = Context.create () in
+  names_range "explain_named"
+    (Explain.explain_named ctx ~net:"continental-50000000" ~src:"0" ~dst:"1");
+  names_range "of_query"
+    (Explain.of_query ctx
+       [ ("net", "continental-50000000"); ("src", "0"); ("dst", "1") ]);
+  Alcotest.(check int) "nothing built" 0 (Context.env_cache_length ctx)
+
+(* The env cache is an LRU: a stream of distinct lambda_h values stays
+   within capacity, and an evicted environment rebuilds bit-identically. *)
+let test_env_cache_bounded () =
+  Rr_obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Rr_obs.set_enabled false) @@ fun () ->
+  let evictions = Rr_obs.Counter.make "engine.cache.env_evictions" in
+  let e0 = Rr_obs.Counter.value evictions in
+  let cap = Context.env_cache_cap in
+  let ctx = Context.create () in
+  let net = Context.require_net ctx "Globalcenter" in
+  let dst = Rr_topology.Net.pop_count net - 1 in
+  let lambda i = 1e5 +. (1e3 *. float_of_int i) in
+  let explain ctx i =
+    let params =
+      Riskroute.Params.with_lambda_h (lambda i) Riskroute.Params.default
+    in
+    match Explain.explain ~params ctx net ~src:0 ~dst with
+    | Ok t ->
+      Explain.to_json { t with Explain.cache_before = []; cache_after = [] }
+    | Error e -> Alcotest.failf "explain lambda_h=%g: %s" (lambda i) e
+  in
+  for i = 0 to (2 * cap) do
+    ignore (explain ctx i);
+    if Context.env_cache_length ctx > cap then
+      Alcotest.failf "env cache holds %d > %d after %d explains"
+        (Context.env_cache_length ctx) cap (i + 1)
+  done;
+  Alcotest.(check int) "full at capacity" cap (Context.env_cache_length ctx);
+  Alcotest.(check int) "evictions counted" (cap + 1)
+    (Rr_obs.Counter.value evictions - e0);
+  let misses = (Context.stats ctx).Context.env_misses in
+  let again = explain ctx 0 in
+  Alcotest.(check int) "the evicted env is rebuilt" (misses + 1)
+    (Context.stats ctx).Context.env_misses;
+  Alcotest.(check string) "rebuilt explain equals a fresh context's"
+    (explain (Context.create ()) 0) again
 
 (* --- the JSON document --- *)
 
@@ -285,6 +464,10 @@ let () =
             test_storm_overlay_exact;
           Alcotest.test_case "continental exact at pool sizes 1/2/4" `Quick
             test_continental_exact_all_pools;
+          Alcotest.test_case "second continental explain is cached" `Quick
+            test_continental_second_explain_cached;
+          Alcotest.test_case "fingerprints are the env's" `Quick
+            test_fingerprints_are_the_envs;
         ] );
       ( "surfaces",
         [
@@ -292,5 +475,8 @@ let () =
             test_json_roundtrip;
           Alcotest.test_case "query front door" `Quick test_of_query;
           Alcotest.test_case "explain counters bump" `Quick test_counters_bump;
+          Alcotest.test_case "continental size bound" `Quick
+            test_continental_size_bound;
+          Alcotest.test_case "env cache bounded" `Quick test_env_cache_bounded;
         ] );
     ]

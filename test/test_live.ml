@@ -210,6 +210,22 @@ let test_explain_provider () =
   Alcotest.(check bool) "crash body names the exception" true
     (json_str "error" (json_of r.Rr_live.body) <> "")
 
+(* The real provider refuses a continental size outside the supported
+   range before building anything: a client error naming the range. *)
+let test_explain_oversized_continental () =
+  Fun.protect ~finally:(fun () ->
+      Rr_live.set_explain_provider (fun _ -> Error "no explain provider"))
+  @@ fun () ->
+  let ctx = Rr_engine.Context.create () in
+  Rr_live.set_explain_provider (Rr_explain.of_query ctx);
+  let r = Rr_live.handle "/explain?net=continental-50000000&src=0&dst=1" in
+  Alcotest.(check int) "oversized continental is a 400" 400 r.Rr_live.status;
+  Alcotest.(check string) "error names the supported range"
+    "unsupported size continental-50000000 (continental-<pops> takes 1..50000)"
+    (json_str "error" (json_of r.Rr_live.body));
+  Alcotest.(check int) "no environment built" 0
+    (Rr_engine.Context.env_cache_length ctx)
+
 (* --- the listener --- *)
 
 let test_listener_endpoints () =
@@ -402,6 +418,8 @@ let () =
           Alcotest.test_case "query decoding" `Quick test_parse_query;
           Alcotest.test_case "explain provider hook" `Quick
             test_explain_provider;
+          Alcotest.test_case "explain rejects oversized continental" `Quick
+            test_explain_oversized_continental;
         ] );
       ( "listener",
         [
