@@ -16,12 +16,15 @@
      [arc_miles.(k) +. kappa *. arc_risk.(k)] — no hashing, no closure
      over coordinates, no trigonometry. [arc_mate] pairs each arc with
      its reverse, which is what lets [patch] enumerate the in-arcs of a
-     changed PoP in O(degree). *)
+     changed PoP in O(degree).
+   - [mean_kappa] is summed once per build: no derivative changes
+     [impact], so every [{t with ...}] copy shares it. *)
 type t = {
   graph : Rr_graph.Graph.t;
   coords : Rr_geo.Coord.t array;
   params : Params.t;
   impact : float array;
+  mean_kappa : float;
   historical : float array;
   forecast : float array;
   node_risk : float array;
@@ -139,6 +142,7 @@ let make ?(params = Params.default) ?dense ~graph ~coords ~impact ~historical
         coords;
         params;
         impact;
+        mean_kappa = 2.0 *. Rr_util.Arrayx.fsum impact /. float_of_int n;
         historical;
         forecast;
         node_risk;
@@ -337,9 +341,7 @@ let arc_count t = Array.length t.arc_tgt
 
 let kappa t i j = t.impact.(i) +. t.impact.(j)
 
-let mean_kappa t =
-  let n = float_of_int (Array.length t.impact) in
-  2.0 *. Rr_util.Arrayx.fsum t.impact /. n
+let mean_kappa t = t.mean_kappa
 
 let edge_weight t ~kappa u v = link_miles t u v +. (kappa *. t.node_risk.(v))
 

@@ -153,7 +153,10 @@ val kappa : t -> int -> int -> float
 
 val mean_kappa : t -> float
 (** Network-average impact [2/n], used by pair-independent analyses (see
-    {!Augment}). *)
+    {!Augment}): [2.0 *. Rr_util.Arrayx.fsum (impact t) /. n], computed
+    once by {!make} and shared by every environment derived from it
+    ({!patch}, {!with_advisory}, {!with_params}, {!with_graph}), so
+    reading it is O(1). *)
 
 val edge_weight : t -> kappa:float -> int -> int -> float
 (** [w(u, v) = d(u, v) + kappa * node_risk(v)] — the directed edge weight

@@ -112,7 +112,12 @@ val patched_env :
     ({!Rr_forecast.Riskfield.diff_field}) and patching
     ({!Riskroute.Env.patch}) instead of rebuilding — bit-identical to
     what {!env} would return, registered under the same
-    content-addressed cache key, at O(n + changed) cost.
+    content-addressed cache key. The diff costs the new storm footprint
+    plus the old field's non-zero points, with two compares for every
+    other PoP; a non-empty delta then copies the three n-length risk
+    vectors ([Env.patch]) and each repaired tree costs its dirty
+    subtree plus two n-length result copies. An empty delta costs the
+    diff and a walk of the tree cache.
 
     The parent's cached risk trees migrate to the child's namespace in
     the same step: trees no changed arc can reach into are kept

@@ -9,6 +9,11 @@ type t = {
 
 let make ~storm ~number ~issued ~center ~hurricane_radius_miles
     ~tropical_radius_miles =
+  if
+    not
+      (Float.is_finite hurricane_radius_miles
+      && Float.is_finite tropical_radius_miles)
+  then invalid_arg "Advisory.make: non-finite wind radius";
   if hurricane_radius_miles < 0.0 || tropical_radius_miles < 0.0 then
     invalid_arg "Advisory.make: negative wind radius";
   if

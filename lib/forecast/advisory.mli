@@ -16,7 +16,8 @@ type t = {
 val make :
   storm:string -> number:int -> issued:string -> center:Rr_geo.Coord.t ->
   hurricane_radius_miles:float -> tropical_radius_miles:float -> t
-(** Validates radii: non-negative, hurricane radius not exceeding the
-    tropical radius when both are positive. *)
+(** Validates radii: finite, non-negative, hurricane radius not
+    exceeding the tropical radius when both are positive. Raises
+    [Invalid_argument] otherwise. *)
 
 val pp : Format.formatter -> t -> unit

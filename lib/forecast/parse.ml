@@ -48,10 +48,14 @@ let advisory text =
   | None -> Error Missing_storm_name
   | Some header -> (
     let storm = Re.Group.get header 1 in
-    let number = int_of_string (Re.Group.get header 2) in
-    match (Re.exec_opt lat_re text, Re.exec_opt lon_re text) with
-    | None, _ | _, None -> Error Missing_center
-    | Some latg, Some long -> (
+    match
+      ( int_of_string_opt (Re.Group.get header 2),
+        Re.exec_opt lat_re text,
+        Re.exec_opt lon_re text )
+    with
+    | None, _, _ -> Error (Malformed "advisory number out of range")
+    | _, None, _ | _, _, None -> Error Missing_center
+    | Some number, Some latg, Some long -> (
       let lat_value = float_of_string (Re.Group.get latg 1) in
       let lat =
         match Re.Group.get latg 2 with

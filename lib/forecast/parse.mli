@@ -12,6 +12,9 @@ type error =
 
 val advisory : string -> (Advisory.t, error) result
 (** Parse one advisory. Wind radii default to 0 when the corresponding
-    sentence is absent (e.g. after downgrade to a tropical storm). *)
+    sentence is absent (e.g. after downgrade to a tropical storm). Never
+    raises: an advisory number that overflows [int], an out-of-range
+    centre and a radius too long to be finite are all
+    [Error (Malformed _)]. *)
 
 val error_to_string : error -> string

@@ -74,4 +74,14 @@ val diff_field :
   delta
 (** Like {!diff} but against a materialised previous field (e.g.
     [Riskroute.Env.forecast] of the environment being patched), so the
-    comparison is exactly against what the consumer currently holds. *)
+    comparison is exactly against what the consumer currently holds.
+
+    The contract is the full scan's: the indices, the bitwise values and
+    the bbox are those of evaluating {!risk_at} at every point. It is
+    evaluated only at points whose old value is not bitwise [+0.0] and
+    at points inside a conservative lat/lon window around the disk of
+    [next]'s largest positive radius (none when [next] is [None] or has
+    no positive radius). Every other point is [+0.0] on both sides and
+    costs two compares, so a tick costs its storm's footprint plus the
+    old field's non-zero points. The [forecast.diff_evaluated] counter
+    records how many points were evaluated. *)

@@ -109,7 +109,14 @@ let single_source_flat ~n ~off ~tgt ~weight ~src =
    the repaired result is only returned when the new optimum is unique
    along every touched arc. Ties strictly inside the untouched region
    were already resolved by the fresh run that produced the input tree
-   and are inherited verbatim. *)
+   and are inherited verbatim.
+
+   Cost: everything but the two result copies is proportional to the
+   dirty subtree and its in-arcs, the changed arcs, and the nodes the
+   heap loop re-settles with their out-arcs. The dirty and settled
+   marks, the dirty list and the heap are domain-local scratch whose
+   marks carry a generation stamp, so a repair on a warm domain neither
+   clears nor allocates anything n-sized besides its result. *)
 
 type repair_stats = { settled : int; full : bool }
 
@@ -117,130 +124,194 @@ let c_repairs = Rr_obs.Counter.make "dijkstra.repairs"
 
 let c_repair_full = Rr_obs.Counter.make "dijkstra.repair_full_fallbacks"
 
+let c_repair_frontier = Rr_obs.Counter.make "dijkstra.repair_fallback_frontier"
+
+let c_repair_tie = Rr_obs.Counter.make "dijkstra.repair_fallback_tie"
+
+let c_repair_order = Rr_obs.Counter.make "dijkstra.repair_fallback_order"
+
 let c_repair_settled = Rr_obs.Counter.make "dijkstra.repair_settled"
 
-exception Fallback
+(* Why a repair gave up: the dirty subtree outgrew [frontier_limit], an
+   equal-cost candidate through a different parent, or a strict
+   improvement into an already-settled node. *)
+exception Fallback of Rr_obs.Counter.t
+
+type scratch = {
+  busy : bool Atomic.t;
+  mutable gen : int;
+  mutable dirty_mark : int array;  (* = gen: node is dirty this repair *)
+  mutable settled_mark : int array;  (* = gen: node settled this repair *)
+  mutable dirty : int array;  (* the dirty nodes, in marking order *)
+  heap : int Heap.t;
+}
+
+let fresh_scratch () =
+  {
+    busy = Atomic.make false;
+    gen = 0;
+    dirty_mark = [||];
+    settled_mark = [||];
+    dirty = [||];
+    heap = Heap.create ();
+  }
+
+let scratch_key : scratch Domain.DLS.key = Domain.DLS.new_key fresh_scratch
+
+(* Systhreads of one domain share its scratch, so a repair claims it
+   with a compare-and-set; a caller that finds it taken gets a fresh
+   one for this call. A new generation invalidates every old mark. *)
+let claim_scratch n =
+  let s = Domain.DLS.get scratch_key in
+  let s =
+    if Atomic.compare_and_set s.busy false true then s
+    else begin
+      let s = fresh_scratch () in
+      Atomic.set s.busy true;
+      s
+    end
+  in
+  if Array.length s.dirty_mark < n then begin
+    s.dirty_mark <- Array.make n 0;
+    s.settled_mark <- Array.make n 0;
+    s.dirty <- Array.make n 0;
+    Heap.ensure_capacity s.heap (max 16 n)
+  end;
+  s.gen <- s.gen + 1;
+  Heap.clear s.heap;
+  s
+
+let release_scratch s = Atomic.set s.busy false
 
 let count_reachable dist =
   Array.fold_left (fun acc d -> if d < infinity then acc + 1 else acc) 0 dist
+
+let repair_with s ~off ~tgt ~mate ~weight ~old_weight ~changed ~frontier_limit
+    tree =
+  let gen = s.gen and dirty_mark = s.dirty_mark and dirty = s.dirty in
+  let settled_mark = s.settled_mark and heap = s.heap in
+  let is_dirty v = dirty_mark.(v) = gen in
+  let dirty_len = ref 0 in
+  let mark v =
+    if not (is_dirty v) then begin
+      dirty_mark.(v) <- gen;
+      dirty.(!dirty_len) <- v;
+      incr dirty_len;
+      if !dirty_len > frontier_limit then raise (Fallback c_repair_frontier)
+    end
+  in
+  Array.iter
+    (fun (k, u) ->
+      let v = tgt.(k) in
+      if tree.parent.(v) = u && weight k > old_weight k then mark v)
+    changed;
+  (* The dirty list is its own queue: a node's children are the targets
+     of its out-arcs that name it as their parent. *)
+  let head = ref 0 in
+  while !head < !dirty_len do
+    let v = dirty.(!head) in
+    incr head;
+    for k = off.(v) to off.(v + 1) - 1 do
+      let c = tgt.(k) in
+      if tree.parent.(c) = v then mark c
+    done
+  done;
+  let dist = Array.copy tree.dist and parent = Array.copy tree.parent in
+  (* Seeding in increasing node order keeps the heap's push order, and
+     so its order among equal keys, independent of the marking order. *)
+  let order = Array.sub dirty 0 !dirty_len in
+  Array.sort Int.compare order;
+  Array.iter
+    (fun v ->
+      dist.(v) <- infinity;
+      parent.(v) <- -1)
+    order;
+  (* Relax arc [k] = (u, v) into the seeds. *)
+  let seed ~u ~v k =
+    let w = weight k in
+    if w < 0.0 then invalid_arg "Dijkstra: negative edge weight";
+    let nd = dist.(u) +. w in
+    if nd < dist.(v) then begin
+      dist.(v) <- nd;
+      parent.(v) <- u;
+      Heap.push heap nd v
+    end
+    else if nd = dist.(v) && parent.(v) <> u then raise (Fallback c_repair_tie)
+  in
+  (* Seed every dirty node from its intact in-neighbours, weighing the
+     in-arc through the CSR mate (weights are per-arc and asymmetric). *)
+  Array.iter
+    (fun v ->
+      for k = off.(v) to off.(v + 1) - 1 do
+        let u = tgt.(k) in
+        if (not (is_dirty u)) && dist.(u) < infinity then
+          seed ~u ~v mate.(k)
+      done)
+    order;
+  (* Decreased arcs between intact nodes seed improvements directly
+     (covers decreased tree arcs too: there the candidate is strictly
+     below the resident dist). *)
+  Array.iter
+    (fun (k, u) ->
+      let v = tgt.(k) in
+      if (not (is_dirty v)) && (not (is_dirty u)) && dist.(u) < infinity then
+        seed ~u ~v k)
+    changed;
+  let settled_count = ref 0 in
+  while not (Heap.is_empty heap) do
+    let d = Heap.min_key heap in
+    let u = Heap.min_elt heap in
+    Heap.drop_min heap;
+    if settled_mark.(u) <> gen then begin
+      settled_mark.(u) <- gen;
+      incr settled_count;
+      for k = off.(u) to off.(u + 1) - 1 do
+        let v = tgt.(k) in
+        let w = weight k in
+        if w < 0.0 then invalid_arg "Dijkstra: negative edge weight";
+        let nd = d +. w in
+        if nd < dist.(v) then begin
+          (* A strict improvement into an already-settled node would
+             mean the repair settled it too early — cannot happen in a
+             consistent run, but fall back rather than trust it. *)
+          if settled_mark.(v) = gen then raise (Fallback c_repair_order);
+          dist.(v) <- nd;
+          parent.(v) <- u;
+          Heap.push heap nd v
+        end
+        else if nd = dist.(v) && parent.(v) <> u then
+          raise (Fallback c_repair_tie)
+      done
+    end
+  done;
+  ({ dist; parent }, !settled_count)
 
 let repair ~n ~off ~tgt ~mate ~weight ~old_weight ~changed
     ?(frontier_limit = max_int) tree ~src =
   let tel = Rr_obs.enabled () in
   if tel then Rr_obs.Counter.incr c_repairs;
-  let full () =
-    if tel then Rr_obs.Counter.incr c_repair_full;
+  let s = claim_scratch n in
+  match
+    repair_with s ~off ~tgt ~mate ~weight ~old_weight ~changed ~frontier_limit
+      tree
+  with
+  | t, settled ->
+    release_scratch s;
+    if tel then Rr_obs.Counter.add c_repair_settled settled;
+    (t, { settled; full = false })
+  | exception Fallback cause ->
+    release_scratch s;
+    if tel then begin
+      Rr_obs.Counter.incr c_repair_full;
+      Rr_obs.Counter.incr cause
+    end;
     let t = run_flat ~n ~off ~tgt ~weight ~src ~stop:(-1) in
     let settled = count_reachable t.dist in
     if tel then Rr_obs.Counter.add c_repair_settled settled;
     (t, { settled; full = true })
-  in
-  try
-    (* Child lists from the parent array (reverse iteration keeps each
-       list in increasing node order; the order is irrelevant to the
-       result, dirty marking visits whole subtrees either way). *)
-    let child_head = Array.make n (-1) and child_next = Array.make n (-1) in
-    for v = n - 1 downto 0 do
-      let p = tree.parent.(v) in
-      if p >= 0 then begin
-        child_next.(v) <- child_head.(p);
-        child_head.(p) <- v
-      end
-    done;
-    let dirty = Array.make n false in
-    let dirty_count = ref 0 in
-    let rec mark v =
-      if not dirty.(v) then begin
-        dirty.(v) <- true;
-        incr dirty_count;
-        if !dirty_count > frontier_limit then raise Fallback;
-        let c = ref child_head.(v) in
-        while !c >= 0 do
-          mark !c;
-          c := child_next.(!c)
-        done
-      end
-    in
-    Array.iter
-      (fun (k, u) ->
-        let v = tgt.(k) in
-        if tree.parent.(v) = u && weight k > old_weight k then mark v)
-      changed;
-    let dist = Array.copy tree.dist and parent = Array.copy tree.parent in
-    let settled = Array.make n false in
-    let heap = Heap.create ~capacity:(max 16 n) () in
-    for v = 0 to n - 1 do
-      if dirty.(v) then begin
-        dist.(v) <- infinity;
-        parent.(v) <- -1
-      end
-    done;
-    (* Seed every dirty node from its intact in-neighbours, weighing the
-       in-arc through the CSR mate (weights are per-arc and asymmetric). *)
-    for v = 0 to n - 1 do
-      if dirty.(v) then
-        for k = off.(v) to off.(v + 1) - 1 do
-          let u = tgt.(k) in
-          if (not dirty.(u)) && dist.(u) < infinity then begin
-            let w = weight mate.(k) in
-            if w < 0.0 then invalid_arg "Dijkstra: negative edge weight";
-            let nd = dist.(u) +. w in
-            if nd < dist.(v) then begin
-              dist.(v) <- nd;
-              parent.(v) <- u;
-              Heap.push heap nd v
-            end
-            else if nd = dist.(v) && parent.(v) <> u then raise Fallback
-          end
-        done
-    done;
-    (* Decreased arcs between intact nodes seed improvements directly
-       (covers decreased tree arcs too: there the candidate is strictly
-       below the resident dist). *)
-    Array.iter
-      (fun (k, u) ->
-        let v = tgt.(k) in
-        if (not dirty.(v)) && (not dirty.(u)) && dist.(u) < infinity then begin
-          let w = weight k in
-          if w < 0.0 then invalid_arg "Dijkstra: negative edge weight";
-          let nd = dist.(u) +. w in
-          if nd < dist.(v) then begin
-            dist.(v) <- nd;
-            parent.(v) <- u;
-            Heap.push heap nd v
-          end
-          else if nd = dist.(v) && parent.(v) <> u then raise Fallback
-        end)
-      changed;
-    let settled_count = ref 0 in
-    while not (Heap.is_empty heap) do
-      let d = Heap.min_key heap in
-      let u = Heap.min_elt heap in
-      Heap.drop_min heap;
-      if not settled.(u) then begin
-        settled.(u) <- true;
-        incr settled_count;
-        for k = off.(u) to off.(u + 1) - 1 do
-          let v = tgt.(k) in
-          let w = weight k in
-          if w < 0.0 then invalid_arg "Dijkstra: negative edge weight";
-          let nd = d +. w in
-          if nd < dist.(v) then begin
-            (* A strict improvement into an already-settled node would
-               mean the repair settled it too early — cannot happen in a
-               consistent run, but fall back rather than trust it. *)
-            if settled.(v) then raise Fallback;
-            dist.(v) <- nd;
-            parent.(v) <- u;
-            Heap.push heap nd v
-          end
-          else if nd = dist.(v) && parent.(v) <> u then raise Fallback
-        done
-      end
-    done;
-    if tel then Rr_obs.Counter.add c_repair_settled !settled_count;
-    ({ dist; parent }, { settled = !settled_count; full = false })
-  with Fallback -> full ()
+  | exception e ->
+    release_scratch s;
+    raise e
 
 let path_of_tree tree ~src ~dst =
   if tree.dist.(dst) = infinity then None

@@ -67,11 +67,23 @@ val repair :
 
     Only the subtrees hanging under increased tree arcs are invalidated
     and re-settled, so a storm-local weight change settles a storm-local
-    node count. The repair falls back to a full recompute (reported via
-    [full = true]) when the invalidated region exceeds [frontier_limit]
-    nodes (default: never) or when an equal-cost tie is encountered
-    whose winner would depend on heap order — the bit-identity guarantee
-    is unconditional either way. The input tree is not mutated. *)
+    node count. A repair costs its dirty subtree and their in-arcs, the
+    changed arcs, and the nodes it re-settles with their out-arcs, plus
+    two n-length copies for the result's [dist] and [parent] (the input tree is not mutated, since
+    cached trees are shared). Its dirty and settled marks, dirty list
+    and heap are domain-local scratch with generation stamps, claimed
+    with a compare-and-set so that systhreads of one domain and nested
+    calls each get their own.
+
+    The repair falls back to a full recompute (reported via
+    [full = true]) and counts the cause: [dijkstra.repair_fallback_frontier]
+    when the invalidated region exceeds [frontier_limit] nodes (default:
+    never), [dijkstra.repair_fallback_tie] when an equal-cost tie is
+    encountered whose winner would depend on heap order, and
+    [dijkstra.repair_fallback_order] on a strict improvement into an
+    already-settled node. The three sum to
+    [dijkstra.repair_full_fallbacks]. The bit-identity guarantee is
+    unconditional either way. *)
 
 val path_of_tree : tree -> src:int -> dst:int -> int list option
 (** Recover the node path from a tree; [None] when [dst] unreachable. *)

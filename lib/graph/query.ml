@@ -85,6 +85,7 @@ let set_tree_provider t provider =
 (* Per-domain workspace                                               *)
 
 type ws = {
+  busy : bool Atomic.t;  (* claimed by a running query *)
   mutable cap : int;
   (* pristine between queries: infinity / -1 / false *)
   mutable dist_f : float array;
@@ -106,29 +107,44 @@ type ws = {
   mutable stamp : int;
 }
 
-let ws_key : ws Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      {
-        cap = 0;
-        dist_f = [||];
-        parent_f = [||];
-        settled_f = [||];
-        dist_b = [||];
-        parent_b = [||];
-        settled_b = [||];
-        heap_f = Heap.create ();
-        heap_b = Heap.create ();
-        touched_f = [||];
-        tf_len = 0;
-        touched_b = [||];
-        tb_len = 0;
-        pi = [||];
-        pi_stamp = [||];
-        stamp = 0;
-      })
+let fresh_ws () =
+  {
+    busy = Atomic.make false;
+    cap = 0;
+    dist_f = [||];
+    parent_f = [||];
+    settled_f = [||];
+    dist_b = [||];
+    parent_b = [||];
+    settled_b = [||];
+    heap_f = Heap.create ();
+    heap_b = Heap.create ();
+    touched_f = [||];
+    tf_len = 0;
+    touched_b = [||];
+    tb_len = 0;
+    pi = [||];
+    pi_stamp = [||];
+    stamp = 0;
+  }
 
-let get_ws n =
+let ws_key : ws Domain.DLS.key = Domain.DLS.new_key fresh_ws
+
+(* Systhreads of one domain share its workspace (the live plane's
+   [/explain] handler runs beside the main thread), and a weight
+   closure may itself start a query. So a query claims the workspace
+   with a compare-and-set, and a caller that finds it taken works in a
+   fresh one sized to this call. *)
+let claim_ws n =
   let ws = Domain.DLS.get ws_key in
+  let ws =
+    if Atomic.compare_and_set ws.busy false true then ws
+    else begin
+      let ws = fresh_ws () in
+      Atomic.set ws.busy true;
+      ws
+    end
+  in
   if ws.cap < n then begin
     ws.cap <- n;
     ws.dist_f <- Array.make n infinity;
@@ -186,6 +202,10 @@ let reset_ws ws =
   ws.tb_len <- 0;
   Heap.clear ws.heap_f;
   Heap.clear ws.heap_b
+
+let release_ws ws =
+  reset_ws ws;
+  Atomic.set ws.busy false
 
 (* ------------------------------------------------------------------ *)
 (* Landmark preparation                                               *)
@@ -285,12 +305,12 @@ let build_path parent ~src ~dst =
   build [] dst
 
 let run_plain t ~weight ~src ~dst =
-  let ws = get_ws t.n in
+  let ws = claim_ws t.n in
   let dist = ws.dist_f and parent = ws.parent_f and settled = ws.settled_f in
   let heap = ws.heap_f in
   let off = t.off and tgt = t.tgt in
   let settles = ref 0 in
-  Fun.protect ~finally:(fun () -> reset_ws ws) @@ fun () ->
+  Fun.protect ~finally:(fun () -> release_ws ws) @@ fun () ->
   dist.(src) <- 0.0;
   touch_f ws src;
   Heap.push heap 0.0 src;
@@ -327,13 +347,13 @@ let run_plain t ~weight ~src ~dst =
   (result, !settles)
 
 let run_bidir t ~weight ~src ~dst =
-  let ws = get_ws t.n in
+  let ws = claim_ws t.n in
   let dist_f = ws.dist_f and parent_f = ws.parent_f and settled_f = ws.settled_f in
   let dist_b = ws.dist_b and parent_b = ws.parent_b and settled_b = ws.settled_b in
   let heap_f = ws.heap_f and heap_b = ws.heap_b in
   let off = t.off and tgt = t.tgt and mate = t.mate in
   let settles = ref 0 in
-  Fun.protect ~finally:(fun () -> reset_ws ws) @@ fun () ->
+  Fun.protect ~finally:(fun () -> release_ws ws) @@ fun () ->
   dist_f.(src) <- 0.0;
   touch_f ws src;
   Heap.push heap_f 0.0 src;
@@ -422,7 +442,7 @@ let run_bidir t ~weight ~src ~dst =
   (result, !settles)
 
 let run_alt t ~weight ~pot ~src ~dst =
-  let ws = get_ws t.n in
+  let ws = claim_ws t.n in
   let dist = ws.dist_f and parent = ws.parent_f and settled = ws.settled_f in
   let heap = ws.heap_f in
   let off = t.off and tgt = t.tgt in
@@ -439,7 +459,7 @@ let run_alt t ~weight ~pot ~src ~dst =
     end
   in
   let settles = ref 0 in
-  Fun.protect ~finally:(fun () -> reset_ws ws) @@ fun () ->
+  Fun.protect ~finally:(fun () -> release_ws ws) @@ fun () ->
   dist.(src) <- 0.0;
   touch_f ws src;
   Heap.push heap (potential src) src;

@@ -29,7 +29,10 @@
     Queries reuse per-domain scratch (distance/parent/settled arrays,
     heaps) held in domain-local storage, so concurrent queries from a
     {!Rr_util.Parallel} pool are safe and allocation stays flat across
-    repeated queries. *)
+    repeated queries. A query claims its domain's scratch with a
+    compare-and-set; one that finds it taken (another systhread of the
+    same domain, or a weight function that itself runs a query) works
+    in fresh scratch for that call. *)
 
 type t
 

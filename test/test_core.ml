@@ -83,6 +83,50 @@ let test_env_kappa () =
   Alcotest.(check (float 1e-9)) "kappa_03" 0.6 (Env.kappa env 0 3);
   Alcotest.(check (float 1e-9)) "mean kappa" 0.5 (Env.mean_kappa env)
 
+(* [mean_kappa] is summed once per build; every derivative must still
+   read the bitwise value of summing its own impact vector. *)
+let test_env_mean_kappa_shared () =
+  let net =
+    Option.get (Rr_topology.Zoo.find (Rr_topology.Zoo.shared ()) "Level3")
+  in
+  let sandy i =
+    List.nth (Rr_forecast.Track.advisories Rr_forecast.Track.sandy) i
+  in
+  let env = Env.of_net ~advisory:(sandy 40) net in
+  let n = Env.node_count env in
+  let next = Env.forecast (Env.with_advisory env (Some (sandy 41))) in
+  let indices =
+    List.filter
+      (fun i ->
+        Int64.bits_of_float next.(i)
+        <> Int64.bits_of_float (Env.forecast env).(i))
+      (List.init n Fun.id)
+  in
+  let indices = Array.of_list indices in
+  let patched =
+    (Env.patch env ~indices ~values:(Array.map (fun i -> next.(i)) indices))
+      .Env.env
+  in
+  let g = Rr_graph.Graph.copy (Env.graph env) in
+  Rr_graph.Graph.add_edge g 0 (n - 1);
+  List.iter
+    (fun (label, e) ->
+      let expected =
+        2.0 *. Rr_util.Arrayx.fsum (Env.impact e) /. float_of_int n
+      in
+      Alcotest.(check int64)
+        (label ^ ": mean kappa bitwise")
+        (Int64.bits_of_float expected)
+        (Int64.bits_of_float (Env.mean_kappa e)))
+    [
+      ("built", env);
+      ("patch", patched);
+      ("with_advisory", Env.with_advisory env None);
+      ("with_params", Env.with_params env (Params.with_lambda_h 3e5 Params.default));
+      ("with_graph", Env.with_graph env g);
+    ];
+  Alcotest.(check bool) "the patch moved the field" true (Array.length indices > 0)
+
 let test_env_node_risk () =
   let env = diamond () in
   let p = Env.params env in
@@ -487,6 +531,8 @@ let () =
         [
           Alcotest.test_case "length validation" `Quick test_env_length_validation;
           Alcotest.test_case "kappa" `Quick test_env_kappa;
+          Alcotest.test_case "mean kappa shared by derivatives" `Quick
+            test_env_mean_kappa_shared;
           Alcotest.test_case "node risk" `Quick test_env_node_risk;
           Alcotest.test_case "link miles cache" `Quick test_env_link_miles_cached;
           Alcotest.test_case "with_forecast" `Quick test_env_with_forecast;

@@ -428,6 +428,32 @@ let test_patched_env_continental () =
             [ 0; 7 ]))
     [ 1; 2; 4 ]
 
+(* A landfall tick evaluates the storm's footprint and the old field's
+   non-zero PoPs, not the whole net, and still patches exactly. *)
+let test_continental_landfall_diff_window () =
+  let net = Lazy.force continental_net in
+  let ctx = Context.create () in
+  let e0 = Context.env ~advisory:(sandy_adv 40) ctx net in
+  let n = Env.node_count e0 in
+  let evaluated = Rr_obs.Counter.make "forecast.diff_evaluated" in
+  Rr_obs.set_enabled true;
+  let e1, moved =
+    Fun.protect ~finally:(fun () -> Rr_obs.set_enabled false) @@ fun () ->
+    let before = Rr_obs.Counter.value evaluated in
+    let e1 =
+      Context.patched_env ~advisory:(sandy_adv 41) ctx net ~parent:e0
+    in
+    (e1, Rr_obs.Counter.value evaluated - before)
+  in
+  Alcotest.(check bool) "the tick moved the field" false (e1 == e0);
+  Alcotest.(check bool)
+    (Printf.sprintf "evaluated %d of %d PoPs" moved n)
+    true
+    (moved > 0 && moved < n);
+  check_envs_bitwise "landfall patch"
+    (Context.env ~advisory:(sandy_adv 41) (Context.create ()) net)
+    e1
+
 let test_lru_fold_and_remove () =
   let l = Lru.create ~capacity:4 in
   ignore (Lru.add l "a" 1);
@@ -503,6 +529,8 @@ let () =
             test_env_sparse_dense_equivalence;
           Alcotest.test_case "continental patch, domains 1/2/4" `Slow
             test_patched_env_continental;
+          Alcotest.test_case "continental landfall diff is windowed" `Slow
+            test_continental_landfall_diff_window;
         ] );
       ( "correctness",
         [

@@ -64,6 +64,34 @@ let test_parse_lowercase_input () =
   | Ok a -> Alcotest.(check string) "case-folded" "IRENE" a.Rr_forecast.Advisory.storm
   | Error e -> Alcotest.fail (Rr_forecast.Parse.error_to_string e)
 
+(* Hostile text must come back as a typed error, never an exception. *)
+let expect_malformed label text =
+  match Rr_forecast.Parse.advisory text with
+  | Error (Rr_forecast.Parse.Malformed _) -> ()
+  | Error e ->
+    Alcotest.failf "%s: expected Malformed, got %s" label
+      (Rr_forecast.Parse.error_to_string e)
+  | Ok _ -> Alcotest.failf "%s: expected Malformed, got an advisory" label
+  | exception e ->
+    Alcotest.failf "%s: raised %s" label (Printexc.to_string e)
+
+let test_parse_number_overflow () =
+  expect_malformed "advisory number past max_int"
+    "HURRICANE BOB ADVISORY NUMBER 99999999999999999999999\n\
+     NEAR LATITUDE 25.0 NORTH...LONGITUDE 80.0 WEST."
+
+let test_parse_infinite_radius () =
+  let nines = String.make 400 '9' in
+  let text force =
+    Printf.sprintf
+      "HURRICANE BOB ADVISORY NUMBER 3\n\
+       NEAR LATITUDE 25.0 NORTH...LONGITUDE 80.0 WEST.\n\
+       %s WINDS EXTEND OUTWARD UP TO %s MILES"
+      force nines
+  in
+  expect_malformed "infinite tropical radius" (text "TROPICAL-STORM-FORCE");
+  expect_malformed "infinite hurricane radius" (text "HURRICANE-FORCE")
+
 (* --- Advisory validation --- *)
 
 let test_advisory_validation () =
@@ -79,6 +107,21 @@ let test_advisory_validation () =
       ignore
         (Rr_forecast.Advisory.make ~storm:"X" ~number:1 ~issued:"t" ~center
            ~hurricane_radius_miles:200.0 ~tropical_radius_miles:100.0))
+
+let test_advisory_non_finite () =
+  let center = Rr_geo.Coord.make ~lat:30.0 ~lon:(-80.0) in
+  List.iter
+    (fun (label, h, t) ->
+      Alcotest.check_raises label
+        (Invalid_argument "Advisory.make: non-finite wind radius") (fun () ->
+          ignore
+            (Rr_forecast.Advisory.make ~storm:"X" ~number:1 ~issued:"t" ~center
+               ~hurricane_radius_miles:h ~tropical_radius_miles:t)))
+    [
+      ("infinite tropical", 0.0, infinity);
+      ("infinite hurricane", infinity, infinity);
+      ("nan hurricane", Float.nan, 100.0);
+    ]
 
 (* --- Render round trip --- *)
 
@@ -340,6 +383,118 @@ let test_diff_field_matches_diff () =
         Alcotest.failf "diff/diff_field values disagree at %d" j)
     via_advisories.R.values
 
+(* The literal full scan [diff_field] must agree with: [risk_at] at
+   every point, a bitwise compare, a tight bbox. *)
+let full_scan ~old_field ~next coords =
+  let changed = ref [] in
+  Array.iteri
+    (fun i p ->
+      let v =
+        match next with
+        | None -> 0.0
+        | Some a -> Rr_forecast.Riskfield.risk_at a p
+      in
+      if bits v <> bits old_field.(i) then changed := (i, v, p) :: !changed)
+    coords;
+  let changed = List.rev !changed in
+  ( Array.of_list (List.map (fun (i, _, _) -> i) changed),
+    Array.of_list (List.map (fun (_, v, _) -> v) changed),
+    match changed with
+    | [] -> None
+    | _ -> Some (Rr_geo.Bbox.of_coords (List.map (fun (_, _, p) -> p) changed)) )
+
+let diff_case_gen =
+  let open QCheck.Gen in
+  let coord lat lon =
+    Rr_geo.Coord.make
+      ~lat:(Float.max (-90.0) (Float.min 90.0 lat))
+      ~lon:(if lon > 180.0 then lon -. 360.0 else if lon < -180.0 then lon +. 360.0 else lon)
+  in
+  let anywhere = map2 coord (float_range (-90.0) 90.0) (float_range (-180.0) 180.0) in
+  let polar =
+    map3
+      (fun north lat lon -> coord (if north then lat else -.lat) lon)
+      bool (float_range 84.0 90.0) (float_range (-180.0) 180.0)
+  in
+  let antimeridian =
+    map3
+      (fun east lat lon -> coord lat (if east then lon else -.lon))
+      bool (float_range (-90.0) 90.0) (float_range 174.0 180.0)
+  in
+  let center = oneof [ anywhere; polar; antimeridian ] in
+  let near (c : Rr_geo.Coord.t) =
+    map2
+      (fun dlat dlon -> coord (c.Rr_geo.Coord.lat +. dlat) (c.Rr_geo.Coord.lon +. dlon))
+      (float_range (-12.0) 12.0) (float_range (-40.0) 40.0)
+  in
+  let radii =
+    oneof
+      [
+        return (0.0, 0.0);
+        map (fun h -> (h, 0.0)) (float_range 1.0 400.0);
+        map (fun t -> (0.0, t)) (float_range 1.0 700.0);
+        map2 (fun h extra -> (h, h +. extra)) (float_range 1.0 300.0)
+          (float_range 0.0 500.0);
+        map (fun t -> (0.0, t)) (float_range 6000.0 14000.0);
+      ]
+  in
+  let advisory =
+    map2
+      (fun c (h, t) ->
+        Rr_forecast.Advisory.make ~storm:"T" ~number:1 ~issued:"t" ~center:c
+          ~hurricane_radius_miles:h ~tropical_radius_miles:t)
+      center radii
+  in
+  advisory >>= fun a ->
+  advisory >>= fun prev ->
+  let c = a.Rr_forecast.Advisory.center in
+  let point = oneof [ anywhere; polar; antimeridian; near c; near c ] in
+  list_size (int_range 1 60) point >>= fun pts ->
+  let coords = Array.of_list pts in
+  (* Old fields mix the previous advisory's field with -0.0 and stale
+     non-zero values wherever they fall, far from the disk included. *)
+  let old_value p =
+    frequency
+      [
+        (4, return (Rr_forecast.Riskfield.risk_at prev p));
+        (3, return 0.0);
+        (1, return (-0.0));
+        (1, oneofl [ 50.0; 100.0; 7.25 ]);
+      ]
+  in
+  let rec olds acc = function
+    | [] -> return (Array.of_list (List.rev acc))
+    | p :: rest -> old_value p >>= fun v -> olds (v :: acc) rest
+  in
+  olds [] pts >>= fun old_field ->
+  map (fun none -> (old_field, (if none then None else Some a), coords))
+    (frequencyl [ (1, true); (5, false) ])
+
+let diff_field_property =
+  let print (old_field, next, coords) =
+    Printf.sprintf "next=%s\n%s"
+      (match next with
+      | None -> "None"
+      | Some a -> Format.asprintf "%a" Rr_forecast.Advisory.pp a)
+      (String.concat "\n"
+         (Array.to_list
+            (Array.mapi
+               (fun i p ->
+                 Printf.sprintf "%d %.17g %.17g old=%h" i p.Rr_geo.Coord.lat
+                   p.Rr_geo.Coord.lon old_field.(i))
+               coords)))
+  in
+  QCheck.Test.make ~name:"diff_field = full scan (indices, bits, bbox)"
+    ~count:1000 (QCheck.make diff_case_gen ~print)
+    (fun (old_field, next, coords) ->
+      let d = Rr_forecast.Riskfield.diff_field ~old_field ~next coords in
+      let indices, values, bbox = full_scan ~old_field ~next coords in
+      d.Rr_forecast.Riskfield.indices = indices
+      && Array.for_all2
+           (fun a b -> bits a = bits b)
+           d.Rr_forecast.Riskfield.values values
+      && d.Rr_forecast.Riskfield.bbox = bbox)
+
 let () =
   Alcotest.run "rr_forecast"
     [
@@ -349,9 +504,15 @@ let () =
           Alcotest.test_case "missing pieces" `Quick test_parse_missing_center;
           Alcotest.test_case "tropical storm header" `Quick test_parse_tropical_storm_header;
           Alcotest.test_case "lower-case input" `Quick test_parse_lowercase_input;
+          Alcotest.test_case "advisory number overflow" `Quick
+            test_parse_number_overflow;
+          Alcotest.test_case "infinite radius" `Quick test_parse_infinite_radius;
         ] );
       ( "advisory",
-        [ Alcotest.test_case "validation" `Quick test_advisory_validation ] );
+        [
+          Alcotest.test_case "validation" `Quick test_advisory_validation;
+          Alcotest.test_case "non-finite radii" `Quick test_advisory_non_finite;
+        ] );
       ( "render",
         [
           Alcotest.test_case "round trip" `Quick test_render_round_trip;
@@ -382,5 +543,6 @@ let () =
             test_diff_roundtrip_bitwise;
           Alcotest.test_case "diff_field consistency" `Quick
             test_diff_field_matches_diff;
+          QCheck_alcotest.to_alcotest diff_field_property;
         ] );
     ]

@@ -316,30 +316,45 @@ let build_random_csr rng ~n ~extra =
   let off, tgt = Graph.to_csr g in
   (off, tgt, Graph.csr_mates ~off ~tgt, Arc_weight.sources off)
 
+let check_same_tree ~label ~what (got : Dijkstra.tree) (want : Dijkstra.tree) =
+  Array.iteri
+    (fun v d ->
+      if bits d <> bits want.Dijkstra.dist.(v) then
+        Alcotest.failf "%s: %s dist mismatch at node %d (%h vs %h)" label what v
+          d want.Dijkstra.dist.(v);
+      if got.Dijkstra.parent.(v) <> want.Dijkstra.parent.(v) then
+        Alcotest.failf "%s: %s parent mismatch at node %d" label what v)
+    got.Dijkstra.dist
+
 (* Repair [base] (computed under [w_old]) into the tree for [w_new] and
-   check it is bit-identical — dist AND parent — to a fresh run. *)
-let check_repair ~label ?frontier_limit ~n ~off ~tgt ~mate ~w_old ~w_new
-    ~changed ~src () =
-  let weight k = w_new.(k) and old_weight k = w_old.(k) in
+   check it is bit-identical — dist AND parent — to a fresh run.
+   [weight_hook] runs on every new-weight lookup the repair makes. *)
+let check_repair ~label ?frontier_limit ?weight_hook ~n ~off ~tgt ~mate ~w_old
+    ~w_new ~changed ~src () =
+  let old_weight k = w_old.(k) in
+  let weight =
+    match weight_hook with
+    | None -> fun k -> w_new.(k)
+    | Some hook ->
+      fun k ->
+        hook ();
+        w_new.(k)
+  in
   let base = Dijkstra.single_source_flat ~n ~off ~tgt ~weight:old_weight ~src in
-  let fresh = Dijkstra.single_source_flat ~n ~off ~tgt ~weight ~src in
+  let snapshot =
+    { Dijkstra.dist = Array.copy base.Dijkstra.dist;
+      parent = Array.copy base.Dijkstra.parent }
+  in
+  let fresh =
+    Dijkstra.single_source_flat ~n ~off ~tgt ~weight:(fun k -> w_new.(k)) ~src
+  in
   let repaired, stats =
     Dijkstra.repair ~n ~off ~tgt ~mate ~weight ~old_weight ~changed
       ?frontier_limit base ~src
   in
-  for v = 0 to n - 1 do
-    if bits repaired.Dijkstra.dist.(v) <> bits fresh.Dijkstra.dist.(v) then
-      Alcotest.failf "%s: dist mismatch at node %d (%h vs %h)" label v
-        repaired.Dijkstra.dist.(v) fresh.Dijkstra.dist.(v);
-    if repaired.Dijkstra.parent.(v) <> fresh.Dijkstra.parent.(v) then
-      Alcotest.failf "%s: parent mismatch at node %d" label v
-  done;
+  check_same_tree ~label ~what:"repaired vs fresh" repaired fresh;
   (* The input tree must not be mutated. *)
-  let base' = Dijkstra.single_source_flat ~n ~off ~tgt ~weight:old_weight ~src in
-  for v = 0 to n - 1 do
-    if bits base.Dijkstra.dist.(v) <> bits base'.Dijkstra.dist.(v) then
-      Alcotest.failf "%s: repair mutated its input tree at %d" label v
-  done;
+  check_same_tree ~label ~what:"input tree after repair" base snapshot;
   stats
 
 (* Per-arc weights from an undirected (u, v) -> w table. *)
@@ -412,6 +427,21 @@ let test_repair_empty_change_is_noop () =
   Alcotest.(check bool) "no fallback" false stats.Dijkstra.full;
   Alcotest.(check int) "nothing settled" 0 stats.Dijkstra.settled
 
+(* The three fallback-cause counters, then their total. *)
+let fallback_counters =
+  List.map
+    (fun name -> Rr_obs.Counter.make ("dijkstra.repair_" ^ name))
+    [ "fallback_frontier"; "fallback_tie"; "fallback_order"; "full_fallbacks" ]
+
+(* Run [f] with telemetry on; also return how far each fallback counter
+   moved. *)
+let counting_fallbacks f =
+  Rr_obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Rr_obs.set_enabled false) @@ fun () ->
+  let before = List.map Rr_obs.Counter.value fallback_counters in
+  let r = f () in
+  (r, List.map2 (fun c b -> Rr_obs.Counter.value c - b) fallback_counters before)
+
 let test_repair_frontier_fallback () =
   let off, tgt, mate, src_of = diamond () in
   let w_old =
@@ -423,11 +453,109 @@ let test_repair_frontier_fallback () =
       [ ((0, 1), 1.0); ((1, 2), 10.0); ((2, 3), 1.0); ((0, 3), 9.5) ]
   in
   let changed = changed_arcs ~src_of ~w_old ~w_new in
-  let stats =
-    check_repair ~label:"frontier fallback" ~frontier_limit:0 ~n:4 ~off ~tgt
-      ~mate ~w_old ~w_new ~changed ~src:0 ()
+  let stats, moved =
+    counting_fallbacks (fun () ->
+        check_repair ~label:"frontier fallback" ~frontier_limit:0 ~n:4 ~off
+          ~tgt ~mate ~w_old ~w_new ~changed ~src:0 ())
   in
-  Alcotest.(check bool) "fell back to a full run" true stats.Dijkstra.full
+  Alcotest.(check bool) "fell back to a full run" true stats.Dijkstra.full;
+  Alcotest.(check (list int)) "frontier, tie, order, full" [ 1; 0; 0; 1 ] moved
+
+let test_repair_tie_fallback () =
+  let off, tgt, mate, src_of = diamond () in
+  let w_old =
+    arc_weights ~tgt ~src_of
+      [ ((0, 1), 1.0); ((1, 2), 1.0); ((2, 3), 1.0); ((0, 3), 9.0) ]
+  in
+  List.iter
+    (fun (label, raised) ->
+      let w_new =
+        arc_weights ~tgt ~src_of
+          (raised
+          :: List.filter
+               (fun (e, _) -> e <> fst raised)
+               [ ((0, 1), 1.0); ((1, 2), 1.0); ((2, 3), 1.0); ((0, 3), 9.0) ])
+      in
+      let changed = changed_arcs ~src_of ~w_old ~w_new in
+      let stats, moved =
+        counting_fallbacks (fun () ->
+            check_repair ~label ~n:4 ~off ~tgt ~mate ~w_old ~w_new ~changed
+              ~src:0 ())
+      in
+      Alcotest.(check bool) (label ^ ": fell back") true stats.Dijkstra.full;
+      Alcotest.(check (list int))
+        (label ^ ": frontier, tie, order, full")
+        [ 0; 1; 0; 1 ] moved)
+    [
+      (* Raising 2-3 to 7 dirties {3}, whose two intact in-neighbours
+         both offer 9. *)
+      ("tie while seeding", ((2, 3), 7.0));
+      (* Raising 1-2 to 9 dirties {2, 3}; 2 then costs 10 both via 1 and
+         via 0-3-2, an equal-cost alternative whose winner is heap
+         order's. *)
+      ("tie while settling", ((1, 2), 9.0));
+    ]
+
+(* A random connected graph of [n] nodes with old and new arc weights:
+   [kind] 0 raises, 1 lowers and 2 mixes up to 12 arcs. *)
+type case = {
+  n : int;
+  off : int array;
+  tgt : int array;
+  mate : int array;
+  w_old : float array;
+  w_new : float array;
+  changed : (int * int) array;
+}
+
+let random_case rng ~n ~kind =
+  let off, tgt, mate, src_of = build_random_csr rng ~n ~extra:(2 * n) in
+  let m = Array.length tgt in
+  let w_old = Array.init m (fun _ -> 1.0 +. Rr_util.Prng.float rng 100.0) in
+  let w_new = Array.copy w_old in
+  for _ = 1 to 1 + Rr_util.Prng.int rng 12 do
+    let k = Rr_util.Prng.int rng m in
+    if bits w_new.(k) = bits w_old.(k) then
+      w_new.(k) <-
+        (match kind with
+        | 0 -> w_old.(k) +. 0.5 +. Rr_util.Prng.float rng 80.0
+        | 1 -> w_old.(k) *. (0.05 +. Rr_util.Prng.float rng 0.9)
+        | _ ->
+          if Rr_util.Prng.bool rng then
+            w_old.(k) +. 0.5 +. Rr_util.Prng.float rng 80.0
+          else w_old.(k) *. (0.05 +. Rr_util.Prng.float rng 0.9))
+  done;
+  { n; off; tgt; mate; w_old; w_new; changed = changed_arcs ~src_of ~w_old ~w_new }
+
+(* [c]'s old weights with one tree arc raised: the one from [src] into
+   its child with the largest subtree, which the repair must dirty. *)
+let raise_tree_arc c ~src =
+  let base =
+    Dijkstra.single_source_flat ~n:c.n ~off:c.off ~tgt:c.tgt
+      ~weight:(fun k -> c.w_old.(k)) ~src
+  in
+  let parent = base.Dijkstra.parent in
+  let size = Array.make c.n 0 in
+  for v = 0 to c.n - 1 do
+    let rec climb u =
+      size.(u) <- size.(u) + 1;
+      if parent.(u) >= 0 then climb parent.(u)
+    in
+    climb v
+  done;
+  let child = ref (-1) in
+  for v = 0 to c.n - 1 do
+    if parent.(v) = src && (!child < 0 || size.(v) > size.(!child)) then
+      child := v
+  done;
+  let k = Option.get (Dijkstra.find_arc ~off:c.off ~tgt:c.tgt src !child) in
+  let w_new = Array.copy c.w_old in
+  w_new.(k) <- c.w_old.(k) +. 1000.0;
+  { c with w_new; changed = [| (k, src) |] }
+
+let check_case ~label ?frontier_limit ?weight_hook c ~src =
+  check_repair ~label ?frontier_limit ?weight_hook ~n:c.n ~off:c.off ~tgt:c.tgt
+    ~mate:c.mate ~w_old:c.w_old ~w_new:c.w_new ~changed:c.changed ~src ()
 
 let test_repair_random_changes () =
   (* Randomized increases, decreases and mixes over random connected
@@ -436,32 +564,96 @@ let test_repair_random_changes () =
     (fun seed ->
       let rng = Rr_util.Prng.create (Int64.of_int (0x5eed + seed)) in
       let n = 40 + Rr_util.Prng.int rng 80 in
-      let off, tgt, mate, src_of = build_random_csr rng ~n ~extra:(2 * n) in
-      let m = Array.length tgt in
-      let w_old =
-        Array.init m (fun _ -> 1.0 +. Rr_util.Prng.float rng 100.0)
-      in
-      let w_new = Array.copy w_old in
       let kind = seed mod 3 in
-      for _ = 1 to 1 + Rr_util.Prng.int rng 12 do
-        let k = Rr_util.Prng.int rng m in
-        if bits w_new.(k) = bits w_old.(k) then
-          w_new.(k) <-
-            (match kind with
-            | 0 -> w_old.(k) +. 0.5 +. Rr_util.Prng.float rng 80.0
-            | 1 -> w_old.(k) *. (0.05 +. Rr_util.Prng.float rng 0.9)
-            | _ ->
-              if Rr_util.Prng.bool rng then
-                w_old.(k) +. 0.5 +. Rr_util.Prng.float rng 80.0
-              else w_old.(k) *. (0.05 +. Rr_util.Prng.float rng 0.9))
-      done;
-      let changed = changed_arcs ~src_of ~w_old ~w_new in
+      let c = random_case rng ~n ~kind in
       let src = Rr_util.Prng.int rng n in
       ignore
-        (check_repair
-           ~label:(Printf.sprintf "seed %d (kind %d)" seed kind)
-           ~n ~off ~tgt ~mate ~w_old ~w_new ~changed ~src ()))
+        (check_case ~label:(Printf.sprintf "seed %d (kind %d)" seed kind) c ~src))
     [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11 ]
+
+(* The domain's repair scratch outlives each repair: graphs of
+   different sizes in turn, and a repair right after a frontier
+   fallback abandoned the scratch mid-marking, must each still match a
+   fresh run. *)
+let test_repair_sizes_in_turn () =
+  let rng = Rr_util.Prng.create 0x512e5L in
+  List.iteri
+    (fun i (n, frontier_limit) ->
+      let src = Rr_util.Prng.int rng n in
+      let c = random_case rng ~n ~kind:(i mod 3) in
+      let c = if frontier_limit = None then c else raise_tree_arc c ~src in
+      let stats =
+        check_case ~label:(Printf.sprintf "repair %d (n = %d)" i n)
+          ?frontier_limit c ~src
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "repair %d fell back iff limited" i)
+        (frontier_limit <> None) stats.Dijkstra.full)
+    [
+      (300, None); (40, None); (120, Some 0); (120, None); (7, None);
+      (500, Some 0); (60, None); (300, None);
+    ]
+
+(* A weight function that itself repairs another graph: the inner call
+   must not share the outer's marks, dirty list or heap. *)
+let test_repair_nested () =
+  let rng = Rr_util.Prng.create 0x4e57L in
+  List.iter
+    (fun trigger ->
+      let outer = raise_tree_arc (random_case rng ~n:150 ~kind:0) ~src:0 in
+      let inner = raise_tree_arc (random_case rng ~n:260 ~kind:2) ~src:3 in
+      let calls = ref 0 in
+      let hook () =
+        incr calls;
+        if !calls = trigger then
+          ignore
+            (check_case ~label:(Printf.sprintf "inner at call %d" trigger) inner
+               ~src:3)
+      in
+      ignore
+        (check_case ~label:(Printf.sprintf "outer, inner at call %d" trigger)
+           ~weight_hook:hook outer ~src:0);
+      Alcotest.(check bool) "inner repair ran" true (!calls >= trigger);
+      ignore
+        (check_case ~label:(Printf.sprintf "after nesting at call %d" trigger)
+           outer ~src:1))
+    [ 1; 6; 40 ]
+
+let with_domains k f =
+  let old = Rr_util.Parallel.domain_count () in
+  Rr_util.Parallel.set_domain_count k;
+  Fun.protect ~finally:(fun () -> Rr_util.Parallel.set_domain_count old) f
+
+(* Each pool domain repairs in its own scratch. *)
+let test_repair_parallel () =
+  let rng = Rr_util.Prng.create 0x9a7L in
+  let c = random_case rng ~n:400 ~kind:2 in
+  let old_weight k = c.w_old.(k) and weight k = c.w_new.(k) in
+  let tree weight src =
+    Dijkstra.single_source_flat ~n:c.n ~off:c.off ~tgt:c.tgt ~weight ~src
+  in
+  let sources = Array.init 24 (fun i -> i * 13 mod c.n) in
+  let bases = Array.map (tree old_weight) sources in
+  List.iter
+    (fun domains ->
+      let repaired =
+        with_domains domains (fun () ->
+            Rr_util.Parallel.map_array
+              (fun i ->
+                fst
+                  (Dijkstra.repair ~n:c.n ~off:c.off ~tgt:c.tgt ~mate:c.mate
+                     ~weight ~old_weight ~changed:c.changed
+                     ~frontier_limit:(if i mod 5 = 0 then 1 else max_int)
+                     bases.(i) ~src:sources.(i)))
+              (Array.init (Array.length sources) Fun.id))
+      in
+      Array.iteri
+        (fun i r ->
+          check_same_tree
+            ~label:(Printf.sprintf "pool of %d, source %d" domains sources.(i))
+            ~what:"repaired vs fresh" r (tree weight sources.(i)))
+        repaired)
+    [ 1; 2; 4 ]
 
 let () =
   Alcotest.run "rr_graph"
@@ -501,8 +693,13 @@ let () =
             test_repair_empty_change_is_noop;
           Alcotest.test_case "frontier fallback" `Quick
             test_repair_frontier_fallback;
+          Alcotest.test_case "tie fallback" `Quick test_repair_tie_fallback;
           Alcotest.test_case "random changes bitwise" `Quick
             test_repair_random_changes;
+          Alcotest.test_case "sizes in turn on one domain" `Quick
+            test_repair_sizes_in_turn;
+          Alcotest.test_case "nested repair" `Quick test_repair_nested;
+          Alcotest.test_case "pool sizes 1/2/4" `Quick test_repair_parallel;
         ] );
       ( "component",
         [

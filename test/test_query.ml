@@ -278,6 +278,79 @@ let test_bgp_unchanged_by_prepare () =
          (Int64.bits_of_float b.Riskroute.Router.bit_miles))
   | _ -> Alcotest.fail "expected a route both times"
 
+(* A weight function that itself runs a query (and the live plane's
+   handler thread, which shares the main domain): the inner query must
+   not share the outer's workspace, and both must answer as the plain
+   kernel does, as must the next query on the domain. *)
+let test_nested_query () =
+  let outer_env = Riskroute.Env.of_net (builder_net ~seed:31L ~pops:120) in
+  let inner_env = Riskroute.Env.of_net (builder_net ~seed:37L ~pops:300) in
+  let reference env ~weight ~src ~dst =
+    let q = Riskroute.Env.query env in
+    Dijkstra.single_pair_flat ~n:(Query.node_count q) ~off:(Query.arc_off q)
+      ~tgt:(Query.arc_tgt q) ~weight ~src ~dst
+  in
+  let miles env = Query.arc_miles (Riskroute.Env.query env) in
+  let outer_miles = miles outer_env and inner_miles = miles inner_env in
+  let inner_weight k = inner_miles.(k) in
+  (* The outer pair spans the graph, so every runner relaxes many arcs. *)
+  let far =
+    let q = Riskroute.Env.query outer_env in
+    let t =
+      Dijkstra.single_source_flat ~n:(Query.node_count q) ~off:(Query.arc_off q)
+        ~tgt:(Query.arc_tgt q) ~weight:(fun k -> outer_miles.(k)) ~src:0
+    in
+    let best = ref 0 in
+    Array.iteri
+      (fun v d -> if d < infinity && d > t.Dijkstra.dist.(!best) then best := v)
+      t.Dijkstra.dist;
+    !best
+  in
+  List.iter
+    (fun runner ->
+      List.iter
+        (fun trigger ->
+          let label =
+            Printf.sprintf "%s, inner at call %d" (Query.runner_name runner)
+              trigger
+          in
+          let calls = ref 0 and inner_ran = ref false in
+          let weight k =
+            incr calls;
+            if !calls = trigger then begin
+              let got =
+                Query.run ~runner (Riskroute.Env.query inner_env)
+                  ~weight:inner_weight ~src:5 ~dst:290
+              in
+              if
+                not
+                  (same_answer
+                     (reference inner_env ~weight:inner_weight ~src:5 ~dst:290)
+                     got)
+              then Alcotest.failf "%s: inner query differs" label;
+              inner_ran := true
+            end;
+            outer_miles.(k)
+          in
+          let plain k = outer_miles.(k) in
+          let got =
+            Query.run ~runner (Riskroute.Env.query outer_env) ~weight ~src:0
+              ~dst:far
+          in
+          Alcotest.(check bool) (label ^ ": inner ran") true !inner_ran;
+          if not (same_answer (reference outer_env ~weight:plain ~src:0 ~dst:far) got)
+          then Alcotest.failf "%s: outer query differs" label;
+          let next =
+            Query.run ~runner (Riskroute.Env.query outer_env) ~weight:plain
+              ~src:7 ~dst:100
+          in
+          if
+            not
+              (same_answer (reference outer_env ~weight:plain ~src:7 ~dst:100) next)
+          then Alcotest.failf "%s: next query on the domain differs" label)
+        [ 1; 9; 25 ])
+    [ Query.Plain; Query.Bidir; Query.Alt ]
+
 let () =
   Alcotest.run "query"
     [
@@ -290,6 +363,7 @@ let () =
           Alcotest.test_case "disconnected" `Quick test_disconnected;
           Alcotest.test_case "src = dst and ranges" `Quick
             test_src_eq_dst_and_ranges;
+          Alcotest.test_case "nested query" `Quick test_nested_query;
         ] );
       ( "landmarks",
         [
