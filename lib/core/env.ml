@@ -244,6 +244,7 @@ type patched = {
 }
 
 let patch t ~indices ~values =
+  Rr_obs.with_span "env.patch" @@ fun () ->
   let n = Array.length t.coords in
   let m = Array.length indices in
   if Array.length values <> m then

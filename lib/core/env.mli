@@ -86,7 +86,8 @@ val patch : t -> indices:int array -> values:float array -> patched
     changed PoP, no census join, no distance work, no full-risk
     recompute. When no value differs bitwise from the current field the
     parent environment itself is returned ([patched_arcs] empty).
-    Raises [Invalid_argument] on malformed deltas. *)
+    Raises [Invalid_argument] on malformed deltas. Runs under an
+    [env.patch] span. *)
 
 (** {1 Accessors} *)
 

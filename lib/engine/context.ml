@@ -357,7 +357,7 @@ let risk_prefix fp = fp ^ ":r:"
 let trees_with_prefix t prefix =
   let plen = String.length prefix in
   Lru.fold t.trees ~init:[] ~f:(fun acc k tr ->
-      if String.length k > plen && String.sub k 0 plen = prefix then
+      if String.length k > plen && String.starts_with ~prefix k then
         (int_of_string (String.sub k plen (String.length k - plen)), k, tr)
         :: acc
       else acc)
@@ -434,33 +434,56 @@ let patched_env ?advisory t n ~parent =
              (Lazy.force repair_frontier_fraction *. float_of_int n_nodes))
       in
       let candidates =
-        with_lock t (fun () -> trees_with_prefix t (risk_prefix parent_rfp))
+        Array.of_list
+          (with_lock t (fun () -> trees_with_prefix t (risk_prefix parent_rfp)))
       in
-      let migrate src old_key tr =
-        let new_key = risk_prefix child_rfp ^ string_of_int src in
-        if untouched_by tr then begin
-          incr kept;
+      Rr_obs.with_span "engine.migrate" (fun () ->
+          (* The keep test runs here, O(changed arcs) per tree; the trees
+             that fail it are repaired as one pool batch, one task per
+             tree, each writing its own slot ([None] = kept). Repairs
+             read only immutable env arrays and cached trees, and their
+             marks and heap are domain-local scratch. *)
+          let failing = ref [] in
+          for i = Array.length candidates - 1 downto 0 do
+            let _, _, tr = candidates.(i) in
+            if not (untouched_by tr) then failing := i :: !failing
+          done;
+          let failing = Array.of_list !failing in
+          let slots = Array.make (Array.length candidates) None in
+          let m = Array.length failing in
+          Rr_util.Parallel.parallel_for ~chunks:m m (fun j ->
+              let i = failing.(j) in
+              let src, _, tr = candidates.(i) in
+              slots.(i) <-
+                Some
+                  (Rr_graph.Dijkstra.repair ~n:n_nodes ~off ~tgt ~mate
+                     ~weight:w_new ~old_weight:w_old ~changed:arcs
+                     ~frontier_limit tr ~src));
+          (* Results land in candidate order on this domain, so the
+             tallies and the LRU's recency do not depend on the pool
+             size. *)
           with_lock t (fun () ->
-              ignore (Lru.remove t.trees old_key);
-              let ev = Lru.add t.trees new_key tr in
-              t.tree_evictions <- t.tree_evictions + ev;
-              lru_evicted := !lru_evicted + ev)
-        end
-        else begin
-          let tr', rs =
-            Rr_graph.Dijkstra.repair ~n:n_nodes ~off ~tgt ~mate ~weight:w_new
-              ~old_weight:w_old ~changed:arcs ~frontier_limit tr ~src
-          in
-          settled := !settled + rs.Rr_graph.Dijkstra.settled;
-          if rs.Rr_graph.Dijkstra.full then incr evicted else incr repaired;
-          with_lock t (fun () ->
-              ignore (Lru.remove t.trees old_key);
-              let ev = Lru.add t.trees new_key tr' in
-              t.tree_evictions <- t.tree_evictions + ev;
-              lru_evicted := !lru_evicted + ev)
-        end
-      in
-      List.iter (fun (src, old_key, tr) -> migrate src old_key tr) candidates
+              Array.iteri
+                (fun i (src, old_key, tr) ->
+                  let tr' =
+                    match slots.(i) with
+                    | None ->
+                      incr kept;
+                      tr
+                    | Some (tr', rs) ->
+                      settled := !settled + rs.Rr_graph.Dijkstra.settled;
+                      if rs.Rr_graph.Dijkstra.full then incr evicted
+                      else incr repaired;
+                      tr'
+                  in
+                  ignore (Lru.remove t.trees old_key);
+                  let ev =
+                    Lru.add t.trees (risk_prefix child_rfp ^ string_of_int src)
+                      tr'
+                  in
+                  t.tree_evictions <- t.tree_evictions + ev;
+                  lru_evicted := !lru_evicted + ev)
+                candidates))
     end;
     Rr_obs.Counter.incr c_delta_envs;
     Rr_obs.Counter.add c_delta_arcs (Array.length arcs);

@@ -124,7 +124,14 @@ val patched_env :
     verbatim, the rest are repaired in place via
     {!Rr_graph.Dijkstra.repair} (falling back to a full recompute when
     the dirty frontier exceeds the [RISKROUTE_REPAIR_FRONTIER] fraction
-    of the node count). The child's risk fingerprint chains from the
+    of the node count). The keep test runs on the calling domain; the
+    trees that fail it are repaired in parallel on the
+    {!Rr_util.Parallel} pool, one task per tree. The results are
+    applied on the calling domain in candidate order (the LRU's
+    remove/add, the kept/repaired/evicted/settled tallies and the
+    eviction counts), so counts, LRU recency and trees do not depend
+    on the pool size; the migration runs under an [engine.migrate]
+    span. The child's risk fingerprint chains from the
     parent's ({!Fingerprint.risk_delta}), so provenance stays exact
     without rehashing the arc arrays. Totals land in {!stats} and the
     [engine.delta.*] counters. [parent] must be an environment over the

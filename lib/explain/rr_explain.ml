@@ -424,138 +424,134 @@ let of_query ctx params =
 
    %.17g round-trips every finite double exactly, so a consumer summing
    the per-arc terms reproduces the OCaml fold bit-for-bit (CI does
-   exactly that in python). *)
+   exactly that in python). Fields are appended straight to the Buffer,
+   each helper writing its literal prefix and then the value. Floats go
+   through [caml_format_float], the primitive [Printf]'s [%.17g] calls
+   ([CamlinternalFormat.convert_float]), so the bytes are Printf's by
+   construction without interpreting a format per field. *)
 
-let fl f = if Float.is_finite f then Printf.sprintf "%.17g" f else "0.0"
+external format_float : string -> float -> string = "caml_format_float"
 
-let str b s =
+let fl b lit f =
+  Buffer.add_string b lit;
+  Buffer.add_string b
+    (if Float.is_finite f then format_float "%.17g" f else "0.0")
+
+let int b lit i =
+  Buffer.add_string b lit;
+  Buffer.add_string b (string_of_int i)
+
+let bool b lit v =
+  Buffer.add_string b lit;
+  Buffer.add_string b (if v then "true" else "false")
+
+let str b lit s =
+  Buffer.add_string b lit;
   Buffer.add_char b '"';
   Rr_obs.json_escape b s;
   Buffer.add_char b '"'
 
-let arc_json b a =
-  Buffer.add_string b
-    (Printf.sprintf "{\"tail\": %d, \"head\": %d, \"tail_name\": " a.tail
-       a.head);
-  str b a.tail_name;
-  Buffer.add_string b ", \"head_name\": ";
-  str b a.head_name;
-  Buffer.add_string b
-    (Printf.sprintf ", \"miles\": %s, \"hist\": %s, \"fcst\": %s, \"weight\": %s}"
-       (fl a.miles) (fl a.hist) (fl a.fcst) (fl a.weight))
+let sep i = if i > 0 then ", " else ""
+
+let arc_json b lit a =
+  Buffer.add_string b lit;
+  int b "{\"tail\": " a.tail;
+  int b ", \"head\": " a.head;
+  str b ", \"tail_name\": " a.tail_name;
+  str b ", \"head_name\": " a.head_name;
+  fl b ", \"miles\": " a.miles;
+  fl b ", \"hist\": " a.hist;
+  fl b ", \"fcst\": " a.fcst;
+  fl b ", \"weight\": " a.weight;
+  Buffer.add_char b '}'
 
 let side_json b s =
   Buffer.add_string b "{\n      \"path\": [";
-  List.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b (string_of_int v))
-    s.path;
+  List.iteri (fun i v -> int b (sep i) v) s.path;
   Buffer.add_string b "],\n      \"pops\": [";
+  List.iteri (fun i name -> str b (sep i) name) s.names;
+  fl b "],\n      \"bit_miles\": " s.bit_miles;
+  fl b ",\n      \"bit_risk_miles\": " s.bit_risk_miles;
+  fl b ",\n      \"term_sum\": " s.term_sum;
+  bool b ",\n      \"decomposition_exact\": " s.exact;
+  fl b ",\n      \"hist_contribution\": " s.hist_contribution;
+  fl b ",\n      \"fcst_contribution\": " s.fcst_contribution;
+  Buffer.add_string b ",\n      \"runner\": \"";
+  Buffer.add_string b s.runner;
+  int b "\",\n      \"settled\": " s.settled;
+  Buffer.add_string b ",\n      \"arcs\": [";
   List.iteri
-    (fun i name ->
-      if i > 0 then Buffer.add_string b ", ";
-      str b name)
-    s.names;
-  Buffer.add_string b
-    (Printf.sprintf
-       "],\n\
-       \      \"bit_miles\": %s,\n\
-       \      \"bit_risk_miles\": %s,\n\
-       \      \"term_sum\": %s,\n\
-       \      \"decomposition_exact\": %b,\n\
-       \      \"hist_contribution\": %s,\n\
-       \      \"fcst_contribution\": %s,\n\
-       \      \"runner\": \"%s\",\n\
-       \      \"settled\": %d,\n\
-       \      \"arcs\": [" (fl s.bit_miles) (fl s.bit_risk_miles)
-       (fl s.term_sum) s.exact (fl s.hist_contribution)
-       (fl s.fcst_contribution) s.runner s.settled);
-  List.iteri
-    (fun i a ->
-      Buffer.add_string b (if i = 0 then "\n        " else ",\n        ");
-      arc_json b a)
+    (fun i a -> arc_json b (if i = 0 then "\n        " else ",\n        ") a)
     s.arcs;
   Buffer.add_string b (if s.arcs = [] then "]\n    }" else "\n      ]\n    }")
 
 let to_json t =
   let b = Buffer.create 4096 in
   let add = Buffer.add_string b in
-  add (Printf.sprintf "{\n  \"schema\": %d,\n  \"net\": " schema_version);
-  str b t.net;
-  add (Printf.sprintf ",\n  \"nodes\": %d,\n  \"src\": {\"id\": %d, \"name\": "
-         t.nodes t.src);
-  str b t.src_name;
-  add (Printf.sprintf ", \"impact\": %s},\n  \"dst\": {\"id\": %d, \"name\": "
-         (fl t.impact_src) t.dst);
-  str b t.dst_name;
-  add (Printf.sprintf ", \"impact\": %s},\n  \"kappa\": %s,\n" (fl t.impact_dst)
-         (fl t.kappa));
+  int b "{\n  \"schema\": " schema_version;
+  str b ",\n  \"net\": " t.net;
+  int b ",\n  \"nodes\": " t.nodes;
+  int b ",\n  \"src\": {\"id\": " t.src;
+  str b ", \"name\": " t.src_name;
+  fl b ", \"impact\": " t.impact_src;
+  int b "},\n  \"dst\": {\"id\": " t.dst;
+  str b ", \"name\": " t.dst_name;
+  fl b ", \"impact\": " t.impact_dst;
+  fl b "},\n  \"kappa\": " t.kappa;
   let p = t.params in
-  add
-    (Printf.sprintf
-       "  \"params\": {\"lambda_h\": %s, \"lambda_f\": %s, \"risk_scale\": \
-        %s, \"rho_tropical\": %s, \"rho_hurricane\": %s},\n"
-       (fl p.Riskroute.Params.lambda_h) (fl p.Riskroute.Params.lambda_f)
-       (fl p.Riskroute.Params.risk_scale)
-       (fl p.Riskroute.Params.rho_tropical)
-       (fl p.Riskroute.Params.rho_hurricane));
+  fl b ",\n  \"params\": {\"lambda_h\": " p.Riskroute.Params.lambda_h;
+  fl b ", \"lambda_f\": " p.Riskroute.Params.lambda_f;
+  fl b ", \"risk_scale\": " p.Riskroute.Params.risk_scale;
+  fl b ", \"rho_tropical\": " p.Riskroute.Params.rho_tropical;
+  fl b ", \"rho_hurricane\": " p.Riskroute.Params.rho_hurricane;
+  add "},\n";
   (match t.advisory with
   | None -> add "  \"advisory\": null,\n"
   | Some a ->
-    add "  \"advisory\": ";
-    str b a;
+    str b "  \"advisory\": " a;
     add ",\n");
   add "  \"riskroute\": ";
   side_json b t.riskroute;
   add ",\n  \"shortest\": ";
   side_json b t.shortest;
-  add
-    (Printf.sprintf
-       ",\n\
-       \  \"diff\": {\"diverted\": %b, \"extra_miles\": %s, \"extra_hops\": \
-        %d, \"risk_avoided\": %s, \"hist_avoided\": %s, \"fcst_avoided\": \
-        %s, \"bit_risk_delta\": %s},\n"
-       t.diff.diverted (fl t.diff.extra_miles) t.diff.extra_hops
-       (fl t.diff.risk_avoided) (fl t.diff.hist_avoided)
-       (fl t.diff.fcst_avoided) (fl t.diff.bit_risk_delta));
-  add "  \"top_pops\": [";
+  let d = t.diff in
+  bool b ",\n  \"diff\": {\"diverted\": " d.diverted;
+  fl b ", \"extra_miles\": " d.extra_miles;
+  int b ", \"extra_hops\": " d.extra_hops;
+  fl b ", \"risk_avoided\": " d.risk_avoided;
+  fl b ", \"hist_avoided\": " d.hist_avoided;
+  fl b ", \"fcst_avoided\": " d.fcst_avoided;
+  fl b ", \"bit_risk_delta\": " d.bit_risk_delta;
+  add "},\n  \"top_pops\": [";
   List.iteri
     (fun i c ->
-      if i > 0 then add ", ";
-      add (Printf.sprintf "{\"id\": %d, \"name\": " c.node);
-      str b c.name;
-      add (Printf.sprintf ", \"risk\": %s}" (fl c.risk)))
+      add (sep i);
+      int b "{\"id\": " c.node;
+      str b ", \"name\": " c.name;
+      fl b ", \"risk\": " c.risk;
+      Buffer.add_char b '}')
     t.top_pops;
   add "],\n  \"top_arcs\": [";
-  List.iteri
-    (fun i a ->
-      if i > 0 then add ", ";
-      arc_json b a)
-    t.top_arcs;
+  List.iteri (fun i a -> arc_json b (sep i) a) t.top_arcs;
   add "],\n  \"provenance\": {\n    \"fingerprints\": {";
   List.iteri
     (fun i (k, v) ->
-      if i > 0 then add ", ";
-      str b k;
-      add ": ";
-      str b v)
+      str b (sep i) k;
+      str b ": " v)
     t.fingerprints;
+  let counts l =
+    List.iteri
+      (fun i (k, v) ->
+        str b (sep i) k;
+        int b ": " v)
+      l
+  in
   add "},\n    \"cache_before\": {";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then add ", ";
-      str b k;
-      add (Printf.sprintf ": %d" v))
-    t.cache_before;
+  counts t.cache_before;
   add "},\n    \"cache_after\": {";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then add ", ";
-      str b k;
-      add (Printf.sprintf ": %d" v))
-    t.cache_after;
-  add (Printf.sprintf "},\n    \"domains\": %d\n  }\n}\n" t.domains);
+  counts t.cache_after;
+  int b "},\n    \"domains\": " t.domains;
+  add "\n  }\n}\n";
   Buffer.contents b
 
 let of_query ctx params = Result.map to_json (of_query ctx params)

@@ -114,6 +114,7 @@ let in_window w (p : Rr_geo.Coord.t) =
    outside the disk, so it is skipped after two compares and the delta
    equals a full scan's. *)
 let diff_field ?rho_tropical ?rho_hurricane ~old_field ~next coords =
+  Rr_obs.with_span "forecast.diff_field" @@ fun () ->
   let n = Array.length coords in
   if Array.length old_field <> n then
     invalid_arg "Riskfield.diff_field: field/coords length mismatch";

@@ -84,4 +84,5 @@ val diff_field :
     no positive radius). Every other point is [+0.0] on both sides and
     costs two compares, so a tick costs its storm's footprint plus the
     old field's non-zero points. The [forecast.diff_evaluated] counter
-    records how many points were evaluated. *)
+    records how many points were evaluated; each call runs under a
+    [forecast.diff_field] span. *)

@@ -288,6 +288,7 @@ let repair_with s ~off ~tgt ~mate ~weight ~old_weight ~changed ~frontier_limit
 
 let repair ~n ~off ~tgt ~mate ~weight ~old_weight ~changed
     ?(frontier_limit = max_int) tree ~src =
+  Rr_obs.with_span "dijkstra.repair" @@ fun () ->
   let tel = Rr_obs.enabled () in
   if tel then Rr_obs.Counter.incr c_repairs;
   let s = claim_scratch n in

@@ -83,7 +83,8 @@ val repair :
     [dijkstra.repair_fallback_order] on a strict improvement into an
     already-settled node. The three sum to
     [dijkstra.repair_full_fallbacks]. The bit-identity guarantee is
-    unconditional either way. *)
+    unconditional either way. Each call runs under a [dijkstra.repair]
+    span. *)
 
 val path_of_tree : tree -> src:int -> dst:int -> int list option
 (** Recover the node path from a tree; [None] when [dst] unreachable. *)

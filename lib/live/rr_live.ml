@@ -324,26 +324,38 @@ let port () =
   Mutex.protect state_lock (fun () ->
       Option.map (fun s -> s.bound_port) !state)
 
-(* Read the request head (line + headers) with a short receive timeout
-   so a stuck client cannot wedge the single server thread; the
-   endpoints need nothing past the request line. *)
+(* The whole request head (line + headers) must arrive within
+   [head_deadline] seconds: each read's receive timeout is the time left,
+   so a client dribbling bytes cannot hold the single server thread
+   longer than that. The endpoints need nothing past the request line. *)
+let head_deadline = 5.0
+
 let read_request_line fd =
+  let deadline = Unix.gettimeofday () +. head_deadline in
   let buf = Bytes.create 2048 in
   let b = Buffer.create 256 in
-  let rec go () =
-    if Buffer.length b > 8192 then None
-    else
+  let rec has_newline i n =
+    i < n && (Bytes.get buf i = '\n' || has_newline (i + 1) n)
+  in
+  let rec go seen_newline =
+    let left = deadline -. Unix.gettimeofday () in
+    if Buffer.length b > 8192 || left <= 0.0 then None
+    else begin
+      (* A zero timeval means "no timeout": keep at least a millisecond. *)
+      (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO (Float.max left 0.001)
+       with Unix.Unix_error _ | Invalid_argument _ -> ());
       match Unix.read fd buf 0 (Bytes.length buf) with
       | 0 -> if Buffer.length b > 0 then Some (Buffer.contents b) else None
       | n ->
         Buffer.add_subbytes b buf 0 n;
-        let s = Buffer.contents b in
-        if String.length s >= 2 && String.index_opt s '\n' <> None then Some s
-        else go ()
+        let seen_newline = seen_newline || has_newline 0 n in
+        if seen_newline && Buffer.length b >= 2 then Some (Buffer.contents b)
+        else go seen_newline
       | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
         None
+    end
   in
-  go ()
+  go false
 
 let parse_request head =
   let line =
@@ -382,8 +394,6 @@ let write_all fd s =
   go 0
 
 let serve_client fd =
-  (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0
-   with Unix.Unix_error _ | Invalid_argument _ -> ());
   let response =
     match read_request_line fd with
     | None ->

@@ -74,6 +74,11 @@ val healthz : unit -> bool * string
     {!Rr_obs.Clock.monotonic}, so tests drive transitions with the
     swappable clock. *)
 
+val head_deadline : float
+(** Seconds a client has to send its whole request head (5). Past it
+    the server answers 400 and counts the request in [live.errors], so
+    a slow client holds the single server thread no longer than this. *)
+
 val start : ?addr:string -> port:int -> unit -> (int, string) result
 (** Start the listener on [addr] (default ["127.0.0.1"]) and [port]
     ([0] picks an ephemeral port) and serve on a background thread.

@@ -424,19 +424,24 @@ let cur_key = Domain.DLS.new_key (fun () -> 0)
 
 (* --- JSON helpers (shared by exposition, flight recorder and log) --- *)
 
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 32
+
+(* The common case, a string with nothing to escape, is one blit. *)
 let json_escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
+  if not (String.exists needs_escape s) then Buffer.add_string b s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\t' -> Buffer.add_string b "\\t"
+        | '\r' -> Buffer.add_string b "\\r"
+        | c when Char.code c < 32 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s
 
 (* JSON has no Infinity/NaN; non-finite values (empty histogram min/max)
    are clamped to 0. Integral floats keep a trailing ".0" so the field

@@ -454,6 +454,237 @@ let test_continental_landfall_diff_window () =
     (Context.env ~advisory:(sandy_adv 41) (Context.create ()) net)
     e1
 
+(* --- tree migration on the pool ---
+
+   [patched_env] repairs a tick's failing trees as one pool batch and
+   applies the results in candidate order on the calling domain, so
+   counts, trees and LRU recency must not depend on the pool size. The
+   setup: continental-2000 at Sandy advisory 37 with ten cached risk
+   trees, then patched through ticks 38-45 (landfall: several repairs
+   per tick, and frontier fallbacks). *)
+
+let migration_sources = [ 0; 123; 250; 500; 750; 1000; 1250; 1500; 1750; 1999 ]
+
+let with_telemetry f =
+  Rr_obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Rr_obs.set_enabled false) f
+
+(* Context at advisory 37 with the ten trees cached, and a function
+   that patches it one tick further. *)
+let migration_setup ?tree_cache_cap () =
+  let net = Lazy.force continental_net in
+  let ctx = Context.create ?tree_cache_cap () in
+  let e37 = Context.env ~advisory:(sandy_adv 37) ctx net in
+  List.iter (fun s -> ignore (Context.risk_trees ctx e37 s)) migration_sources;
+  let env = ref e37 in
+  let tick i =
+    env := Context.patched_env ~advisory:(sandy_adv i) ctx net ~parent:!env;
+    !env
+  in
+  (ctx, tick)
+
+let test_migration_pool_independent () =
+  let net = Lazy.force continental_net in
+  let ticks = List.init 8 (fun i -> 38 + i) in
+  (* Fresh trees per tick, from a cold context: the bitwise reference. *)
+  let fresh =
+    List.map
+      (fun i ->
+        let c = Context.create () in
+        let e = Context.env ~advisory:(sandy_adv i) c net in
+        (i, List.map (fun s -> render_tree (Context.risk_trees c e s))
+              migration_sources))
+      ticks
+  in
+  let run domains =
+    with_domains domains @@ fun () ->
+    let ctx, tick = migration_setup () in
+    List.map
+      (fun i ->
+        let before = Context.stats ctx in
+        let e = tick i in
+        let after = Context.stats ctx in
+        (* Every cached tree migrated: the lookups below all hit. *)
+        let trees =
+          List.map (fun s -> render_tree (Context.risk_trees ctx e s))
+            migration_sources
+        in
+        Alcotest.(check int)
+          (Printf.sprintf "tick %d at %d domains: lookups all hit" i domains)
+          after.Context.tree_misses (Context.stats ctx).Context.tree_misses;
+        List.iteri
+          (fun j (s, tr) ->
+            Alcotest.(check string)
+              (Printf.sprintf "tick %d at %d domains: tree %d = fresh" i
+                 domains s)
+              (List.nth (List.assoc i fresh) j) tr)
+          (List.combine migration_sources trees);
+        let failing =
+          after.Context.delta_trees_repaired
+          + after.Context.delta_trees_evicted
+          - before.Context.delta_trees_repaired
+          - before.Context.delta_trees_evicted
+        in
+        (failing, Context.stats_fields ctx))
+      ticks
+  in
+  let one = run 1 in
+  (* The batch is exercised: ticks with several failing trees, and at
+     least one frontier fallback inside a pool task. *)
+  Alcotest.(check bool) "a tick repairs several trees" true
+    (List.exists (fun (failing, _) -> failing >= 2) one);
+  let last_stats = snd (List.nth one (List.length one - 1)) in
+  Alcotest.(check bool) "a repair fell back to a full run" true
+    (List.assoc "delta.trees_evicted" last_stats > 0);
+  List.iter
+    (fun domains ->
+      List.iter2
+        (fun i ((_, a), (_, b)) ->
+          Alcotest.(check (list (pair string int)))
+            (Printf.sprintf "stats after tick %d: 1 vs %d domains" i domains)
+            a b)
+        ticks
+        (List.combine one (run domains)))
+    [ 2; 4 ]
+
+(* With room for only two more trees, a burst of five new lookups
+   evicts the three least recently used: migration kept the trees'
+   recency (0 oldest), whatever order the pool finished them in. *)
+let test_migration_keeps_lru_recency () =
+  let run domains =
+    with_domains domains @@ fun () ->
+    let ctx, tick = migration_setup ~tree_cache_cap:12 () in
+    let e = ref (tick 38) in
+    for i = 39 to 45 do
+      e := tick i
+    done;
+    let risk = Context.risk_trees ctx !e in
+    List.iter (fun s -> ignore (risk s)) [ 1; 2; 3; 4; 5 ];
+    (* Newest first: the misses come last, so no lookup evicts a tree
+       that is still to be looked up. *)
+    let resident =
+      List.map
+        (fun s ->
+          let hits = (Context.stats ctx).Context.tree_hits in
+          ignore (risk s);
+          (s, (Context.stats ctx).Context.tree_hits > hits))
+        (List.rev migration_sources)
+    in
+    (resident, Context.stats_fields ctx)
+  in
+  let resident1, stats1 = run 1 in
+  Alcotest.(check (list (pair int bool)))
+    "the three oldest trees were evicted"
+    (List.map (fun s -> (s, s > 250)) (List.rev migration_sources))
+    resident1;
+  List.iter
+    (fun domains ->
+      let resident, stats = run domains in
+      Alcotest.(check (list (pair int bool)))
+        (Printf.sprintf "same evictions at %d domains" domains)
+        resident1 resident;
+      Alcotest.(check (list (pair string int)))
+        (Printf.sprintf "hits, misses, evictions at %d domains" domains)
+        stats1 stats)
+    [ 2; 4 ]
+
+(* The pool sees only trees that fail the keep test. On a connected
+   net a tree keeps across a changed tick only when the changed PoP is
+   its root, so Sandy 32 -> 33, which changes one PoP of
+   continental-2000, keeps the tree rooted there: no batch. With one
+   more tree that fails, the single repair runs inline: still none.
+   Three failing trees make one batch. *)
+let test_kept_trees_skip_the_pool () =
+  let net = Lazy.force continental_net in
+  let changed =
+    let e32 = Context.env ~advisory:(sandy_adv 32) (Context.create ()) net in
+    let d =
+      Rr_forecast.Riskfield.diff_field ~old_field:(Env.forecast e32)
+        ~next:(Some (sandy_adv 33)) (Env.coords e32)
+    in
+    (Env.patch e32 ~indices:d.Rr_forecast.Riskfield.indices
+       ~values:d.Rr_forecast.Riskfield.values)
+      .Env.changed_pops
+  in
+  Alcotest.(check int) "Sandy 32 -> 33 changes one PoP" 1
+    (Array.length changed);
+  let root = changed.(0) in
+  let others = List.filter (fun s -> s <> root) [ 0; 1000; 1999 ] in
+  let batches = Rr_obs.Counter.make "parallel.batches" in
+  with_domains 2 @@ fun () ->
+  with_telemetry @@ fun () ->
+  let tick sources =
+    let ctx = Context.create () in
+    let e32 = Context.env ~advisory:(sandy_adv 32) ctx net in
+    List.iter (fun s -> ignore (Context.risk_trees ctx e32 s)) sources;
+    let b0 = Rr_obs.Counter.value batches in
+    let e33 = Context.patched_env ~advisory:(sandy_adv 33) ctx net ~parent:e32 in
+    Alcotest.(check bool) "the tick changed the env" false (e33 == e32);
+    let st = Context.stats ctx in
+    ( st.Context.delta_trees_kept,
+      st.Context.delta_trees_repaired + st.Context.delta_trees_evicted,
+      Rr_obs.Counter.value batches - b0 )
+  in
+  let check label expected got =
+    Alcotest.(check (triple int int int)) label expected got
+  in
+  check "every tree kept: no batch" (1, 0, 0) (tick [ root ]);
+  check "one failing tree: repaired inline" (1, 1, 0)
+    (tick [ root; List.hd others ]);
+  check "several failing trees: one batch" (1, List.length others, 1)
+    (tick (root :: others))
+
+(* One changed tick records one engine.migrate span, and under it one
+   dijkstra.repair span per repaired or fallen-back tree, across the
+   parallel.task hand-off to the pool's domains. *)
+let test_migrate_spans () =
+  with_domains 2 @@ fun () ->
+  let ctx, tick = migration_setup () in
+  with_telemetry @@ fun () ->
+  let last_id =
+    List.fold_left (fun m s -> max m s.Rr_obs.sp_id) 0 (Rr_obs.spans ())
+  in
+  let before = Context.stats ctx in
+  ignore (tick 38);
+  let after = Context.stats ctx in
+  let spans =
+    List.filter (fun s -> s.Rr_obs.sp_id > last_id) (Rr_obs.spans ())
+  in
+  let by_id = Hashtbl.create 64 in
+  List.iter (fun s -> Hashtbl.replace by_id s.Rr_obs.sp_id s) spans;
+  let named n = List.filter (fun s -> s.Rr_obs.sp_name = n) spans in
+  let rec ancestors s =
+    match Hashtbl.find_opt by_id s.Rr_obs.sp_parent with
+    | Some p -> p :: ancestors p
+    | None -> []
+  in
+  Alcotest.(check int) "one forecast.diff_field span" 1
+    (List.length (named "forecast.diff_field"));
+  Alcotest.(check int) "one env.patch span" 1 (List.length (named "env.patch"));
+  let migrate =
+    match named "engine.migrate" with
+    | [ m ] -> m
+    | l -> Alcotest.failf "%d engine.migrate spans" (List.length l)
+  in
+  let failing =
+    after.Context.delta_trees_repaired + after.Context.delta_trees_evicted
+    - before.Context.delta_trees_repaired - before.Context.delta_trees_evicted
+  in
+  Alcotest.(check bool) "the tick repairs several trees" true (failing >= 2);
+  let repairs = named "dijkstra.repair" in
+  Alcotest.(check int) "one dijkstra.repair span per failing tree" failing
+    (List.length
+       (List.filter
+          (fun s -> List.memq migrate (ancestors s))
+          repairs));
+  Alcotest.(check bool) "repairs ran as pool tasks" true
+    (List.for_all
+       (fun s ->
+         List.exists
+           (fun a -> a.Rr_obs.sp_name = "parallel.task")
+           (ancestors s))
+       repairs)
+
 let test_lru_fold_and_remove () =
   let l = Lru.create ~capacity:4 in
   ignore (Lru.add l "a" 1);
@@ -531,6 +762,14 @@ let () =
             test_patched_env_continental;
           Alcotest.test_case "continental landfall diff is windowed" `Slow
             test_continental_landfall_diff_window;
+          Alcotest.test_case "migration = fresh, domains 1/2/4" `Slow
+            test_migration_pool_independent;
+          Alcotest.test_case "migration keeps LRU recency, domains 1/2/4"
+            `Slow test_migration_keeps_lru_recency;
+          Alcotest.test_case "kept trees skip the pool" `Slow
+            test_kept_trees_skip_the_pool;
+          Alcotest.test_case "migrate and repair spans" `Slow
+            test_migrate_spans;
         ] );
       ( "correctness",
         [

@@ -396,6 +396,264 @@ let test_json_roundtrip () =
       (List.length pops <= 5)
   | None -> Alcotest.fail "no top_pops in JSON"
 
+(* --- the JSON bytes against a literal Printf reference ---
+
+   [Explain.to_json] appends straight to a Buffer. This is the
+   renderer it replaced, one [Printf.sprintf] per field, kept verbatim
+   as the definition of the document's bytes. *)
+
+module Reference_json = struct
+  open Explain
+
+  let fl f = if Float.is_finite f then Printf.sprintf "%.17g" f else "0.0"
+
+  let escape b s =
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\t' -> Buffer.add_string b "\\t"
+        | '\r' -> Buffer.add_string b "\\r"
+        | c when Char.code c < 32 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s
+
+  let str b s =
+    Buffer.add_char b '"';
+    escape b s;
+    Buffer.add_char b '"'
+
+  let arc_json b a =
+    Buffer.add_string b
+      (Printf.sprintf "{\"tail\": %d, \"head\": %d, \"tail_name\": " a.tail
+         a.head);
+    str b a.tail_name;
+    Buffer.add_string b ", \"head_name\": ";
+    str b a.head_name;
+    Buffer.add_string b
+      (Printf.sprintf
+         ", \"miles\": %s, \"hist\": %s, \"fcst\": %s, \"weight\": %s}"
+         (fl a.miles) (fl a.hist) (fl a.fcst) (fl a.weight))
+
+  let side_json b s =
+    Buffer.add_string b "{\n      \"path\": [";
+    List.iteri
+      (fun i v ->
+        if i > 0 then Buffer.add_string b ", ";
+        Buffer.add_string b (string_of_int v))
+      s.path;
+    Buffer.add_string b "],\n      \"pops\": [";
+    List.iteri
+      (fun i name ->
+        if i > 0 then Buffer.add_string b ", ";
+        str b name)
+      s.names;
+    Buffer.add_string b
+      (Printf.sprintf
+         "],\n\
+         \      \"bit_miles\": %s,\n\
+         \      \"bit_risk_miles\": %s,\n\
+         \      \"term_sum\": %s,\n\
+         \      \"decomposition_exact\": %b,\n\
+         \      \"hist_contribution\": %s,\n\
+         \      \"fcst_contribution\": %s,\n\
+         \      \"runner\": \"%s\",\n\
+         \      \"settled\": %d,\n\
+         \      \"arcs\": [" (fl s.bit_miles) (fl s.bit_risk_miles)
+         (fl s.term_sum) s.exact (fl s.hist_contribution)
+         (fl s.fcst_contribution) s.runner s.settled);
+    List.iteri
+      (fun i a ->
+        Buffer.add_string b (if i = 0 then "\n        " else ",\n        ");
+        arc_json b a)
+      s.arcs;
+    Buffer.add_string b (if s.arcs = [] then "]\n    }" else "\n      ]\n    }")
+
+  let to_json t =
+    let b = Buffer.create 4096 in
+    let add = Buffer.add_string b in
+    add (Printf.sprintf "{\n  \"schema\": %d,\n  \"net\": " schema_version);
+    str b t.net;
+    add
+      (Printf.sprintf ",\n  \"nodes\": %d,\n  \"src\": {\"id\": %d, \"name\": "
+         t.nodes t.src);
+    str b t.src_name;
+    add
+      (Printf.sprintf ", \"impact\": %s},\n  \"dst\": {\"id\": %d, \"name\": "
+         (fl t.impact_src) t.dst);
+    str b t.dst_name;
+    add
+      (Printf.sprintf ", \"impact\": %s},\n  \"kappa\": %s,\n"
+         (fl t.impact_dst) (fl t.kappa));
+    let p = t.params in
+    add
+      (Printf.sprintf
+         "  \"params\": {\"lambda_h\": %s, \"lambda_f\": %s, \"risk_scale\": \
+          %s, \"rho_tropical\": %s, \"rho_hurricane\": %s},\n"
+         (fl p.Riskroute.Params.lambda_h) (fl p.Riskroute.Params.lambda_f)
+         (fl p.Riskroute.Params.risk_scale)
+         (fl p.Riskroute.Params.rho_tropical)
+         (fl p.Riskroute.Params.rho_hurricane));
+    (match t.advisory with
+    | None -> add "  \"advisory\": null,\n"
+    | Some a ->
+      add "  \"advisory\": ";
+      str b a;
+      add ",\n");
+    add "  \"riskroute\": ";
+    side_json b t.riskroute;
+    add ",\n  \"shortest\": ";
+    side_json b t.shortest;
+    add
+      (Printf.sprintf
+         ",\n\
+         \  \"diff\": {\"diverted\": %b, \"extra_miles\": %s, \"extra_hops\": \
+          %d, \"risk_avoided\": %s, \"hist_avoided\": %s, \"fcst_avoided\": \
+          %s, \"bit_risk_delta\": %s},\n"
+         t.diff.diverted (fl t.diff.extra_miles) t.diff.extra_hops
+         (fl t.diff.risk_avoided) (fl t.diff.hist_avoided)
+         (fl t.diff.fcst_avoided) (fl t.diff.bit_risk_delta));
+    add "  \"top_pops\": [";
+    List.iteri
+      (fun i c ->
+        if i > 0 then add ", ";
+        add (Printf.sprintf "{\"id\": %d, \"name\": " c.node);
+        str b c.name;
+        add (Printf.sprintf ", \"risk\": %s}" (fl c.risk)))
+      t.top_pops;
+    add "],\n  \"top_arcs\": [";
+    List.iteri
+      (fun i a ->
+        if i > 0 then add ", ";
+        arc_json b a)
+      t.top_arcs;
+    add "],\n  \"provenance\": {\n    \"fingerprints\": {";
+    List.iteri
+      (fun i (k, v) ->
+        if i > 0 then add ", ";
+        str b k;
+        add ": ";
+        str b v)
+      t.fingerprints;
+    add "},\n    \"cache_before\": {";
+    List.iteri
+      (fun i (k, v) ->
+        if i > 0 then add ", ";
+        str b k;
+        add (Printf.sprintf ": %d" v))
+      t.cache_before;
+    add "},\n    \"cache_after\": {";
+    List.iteri
+      (fun i (k, v) ->
+        if i > 0 then add ", ";
+        str b k;
+        add (Printf.sprintf ": %d" v))
+      t.cache_after;
+    add (Printf.sprintf "},\n    \"domains\": %d\n  }\n}\n" t.domains);
+    Buffer.contents b
+end
+
+let check_json_bytes label t =
+  let expected = Reference_json.to_json t and got = Explain.to_json t in
+  if not (String.equal expected got) then begin
+    let n = min (String.length expected) (String.length got) in
+    let rec first i =
+      if i < n && expected.[i] = got.[i] then first (i + 1) else i
+    in
+    let i = first 0 in
+    let around s =
+      String.sub s (max 0 (i - 40)) (min (String.length s - max 0 (i - 40)) 80)
+    in
+    Alcotest.failf "%s: JSON differs from the reference at byte %d:\n%S\n%S"
+      label i (around expected) (around got)
+  end
+
+let test_json_bytes_continental () =
+  let ctx = Context.create () in
+  let pops = 10_000 in
+  let rng = Random.State.make [| 0xe7 |] in
+  for i = 1 to 64 do
+    let src = Random.State.int rng pops in
+    let dst = (src + 1 + Random.State.int rng (pops - 1)) mod pops in
+    match Explain.explain_continental ctx ~pops ~src ~dst with
+    | Ok t ->
+      check_json_bytes
+        (Printf.sprintf "continental-10000 pair %d (%d -> %d)" i src dst)
+        t
+    | Error e -> Alcotest.failf "explain %d -> %d failed: %s" src dst e
+  done
+
+let test_json_bytes_storm () =
+  let ctx = Context.create () in
+  check_json_bytes "Level3 Houston -> Boston, Sandy advisory 40"
+    (explain_exn ~storm:"sandy" ctx ~net:"Level3" ~src:"Houston"
+       ~dst:"Boston")
+
+(* Names that need every escape, and the floats whose rendering has
+   edge cases: signed zero, the smallest subnormal, the largest
+   magnitudes, a non-terminating binary fraction, integral values, and
+   the non-finite values the document clamps to 0.0. *)
+let test_json_bytes_synthetic () =
+  let ctx = Context.create () in
+  let t = explain_exn ctx ~net:"Level3" ~src:"Houston" ~dst:"Boston" in
+  let names =
+    [| "quote \" mark"; "back\\slash"; "new\nline\r\ttab"; "ctl \001\031\127";
+       ""; "caf\xc3\xa9" |]
+  in
+  let floats =
+    [| -0.0; 5e-324; 1e308; -1e308; 0.1; 3.0; -42.0; 1e15; 1e16; nan;
+       infinity; neg_infinity; Float.max_float; Float.min_float |]
+  in
+  let name i = names.(i mod Array.length names) in
+  let fv i = floats.(i mod Array.length floats) in
+  let arc i =
+    { Explain.tail = i; head = -i; tail_name = name i; head_name = name (i + 1);
+      miles = fv i; hist = fv (i + 1); fcst = fv (i + 2); weight = fv (i + 3) }
+  in
+  let side label k =
+    { t.Explain.riskroute with
+      Explain.label;
+      names = Array.to_list names;
+      arcs = List.init (Array.length floats) (fun i -> arc (i + k));
+      bit_miles = fv k;
+      bit_risk_miles = fv (k + 1);
+      term_sum = fv (k + 2);
+      exact = k mod 2 = 0;
+      hist_contribution = fv (k + 3);
+      fcst_contribution = fv (k + 4);
+      settled = max_int }
+  in
+  let synthetic =
+    { t with
+      Explain.net = name 0;
+      src_name = name 1;
+      dst_name = name 2;
+      src = min_int;
+      advisory = Some (name 3);
+      impact_src = fv 0;
+      impact_dst = fv 9;
+      kappa = fv 10;
+      riskroute = side "riskroute" 0;
+      shortest = { (side "shortest" 1) with Explain.arcs = []; path = [] };
+      diff =
+        { Explain.diverted = true; extra_miles = fv 1; extra_hops = -3;
+          risk_avoided = fv 2; hist_avoided = fv 11; fcst_avoided = fv 12;
+          bit_risk_delta = fv 13 };
+      top_pops =
+        List.init 6 (fun i -> { Explain.node = i; name = name i; risk = fv i });
+      top_arcs = List.init 3 arc;
+      fingerprints = [ (name 0, name 2); (name 4, name 5) ];
+      cache_before = [ (name 1, -1); (name 5, 0) ];
+      cache_after = [];
+    }
+  in
+  check_json_bytes "synthetic record" synthetic;
+  check_json_bytes "synthetic record, no advisory"
+    { synthetic with Explain.advisory = None }
+
 (* --- the query front door (the /explain provider body) --- *)
 
 let test_of_query () =
@@ -473,6 +731,12 @@ let () =
         [
           Alcotest.test_case "json round-trips bit-for-bit" `Quick
             test_json_roundtrip;
+          Alcotest.test_case "json bytes = Printf reference, continental"
+            `Slow test_json_bytes_continental;
+          Alcotest.test_case "json bytes = Printf reference, storm" `Quick
+            test_json_bytes_storm;
+          Alcotest.test_case "json bytes = Printf reference, edge values"
+            `Quick test_json_bytes_synthetic;
           Alcotest.test_case "query front door" `Quick test_of_query;
           Alcotest.test_case "explain counters bump" `Quick test_counters_bump;
           Alcotest.test_case "continental size bound" `Quick

@@ -348,6 +348,60 @@ let test_listener_stop () =
   (* Idempotent. *)
   Rr_live.stop ()
 
+(* A client that dribbles one byte a second and never ends its request
+   line is cut off at the head deadline with a 400 counted in
+   [live.errors]; a second client queued behind it gets its /healthz
+   within the deadline plus 2 s, not when the slow client gives up. *)
+let test_listener_slow_client () =
+  with_server @@ fun port ->
+  let errors = Rr_obs.Counter.make "live.errors" in
+  let errors_before = Rr_obs.Counter.value errors in
+  let slow_answer = ref "" in
+  let dribble () =
+    let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Fun.protect ~finally:(fun () -> try Unix.close sock with _ -> ())
+    @@ fun () ->
+    Unix.connect sock
+      (Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", port));
+    (* Bytes go out at 0.5 s, 1.5 s, ... so none lands on the deadline
+       itself; the client stops at the first sign of an answer, or after
+       3x the deadline, long enough that a server without one would
+       still be holding the thread when the queued request is timed. *)
+    let rec go sent =
+      match Unix.select [ sock ] [] [] (if sent = 0 then 0.5 else 1.0) with
+      | [], _, _ ->
+        if sent < 3 * int_of_float Rr_live.head_deadline then begin
+          ignore (Unix.write_substring sock "G" 0 1);
+          go (sent + 1)
+        end
+      | _ ->
+        let chunk = Bytes.create 256 in
+        let n = Unix.read sock chunk 0 (Bytes.length chunk) in
+        slow_answer := Bytes.sub_string chunk 0 n
+    in
+    go 0
+  in
+  let slow = Thread.create dribble () in
+  let status, waited =
+    Fun.protect ~finally:(fun () -> Thread.join slow) @@ fun () ->
+    (* Let the server accept the slow client first. *)
+    Thread.delay 0.2;
+    let t0 = Unix.gettimeofday () in
+    let status, _, _ = http_get port "/healthz" in
+    (status, Unix.gettimeofday () -. t0)
+  in
+  Alcotest.(check int) "queued healthz status" 200 status;
+  Alcotest.(check bool)
+    (Printf.sprintf "healthz waited %.1f s" waited)
+    true
+    (waited <= Rr_live.head_deadline +. 2.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "slow client got a 400 (%S)" !slow_answer)
+    true
+    (String.starts_with ~prefix:"HTTP/1.1 400" !slow_answer);
+  Alcotest.(check bool) "the cut-off is counted in live.errors" true
+    (Rr_obs.Counter.value errors > errors_before)
+
 (* --- the watchdog --- *)
 
 let test_stall_deadline_validation () =
@@ -429,6 +483,8 @@ let () =
             test_listener_single_instance;
           Alcotest.test_case "stop is clean and idempotent" `Quick
             test_listener_stop;
+          Alcotest.test_case "slow client cut off at the head deadline"
+            `Slow test_listener_slow_client;
         ] );
       ( "watchdog",
         [
