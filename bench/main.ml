@@ -165,7 +165,6 @@ let query_kernels () =
       let label r = Printf.sprintf "query/%s-%dk" r (pops / 1000) in
       [
         (label "plain", kernel Rr_graph.Query.Plain);
-        (label "bidir", kernel Rr_graph.Query.Bidir);
         (label "alt", kernel Rr_graph.Query.Alt);
       ])
     query_pop_sizes
@@ -331,11 +330,11 @@ let parse_json_args rest =
 
 (* --- continental-smoke: the large-topology correctness gate CI runs ---
 
-   Builds a continental merged net and its cached sparse Env, routes a
-   deterministic pair set through all three runners of the Env's query
+   Builds a continental merged net and its cached Env, routes a
+   deterministic pair set through both runners of the Env's query
    facade under both weight functions (bit-miles, and bit-risk-miles
    with the population-proportional impact proxy), and verifies that
-   every runner returns bit-identical (cost, path) while ALT settles
+   plain and ALT return bit-identical (cost, path) while ALT settles
    strictly fewer nodes than plain on every pair — and at least
    [min_ratio] times fewer in aggregate on the bit-miles set, where the
    landmark bound is exact. The settled-node counters are written as a
@@ -389,24 +388,15 @@ let run_continental_smoke ~pops ~pairs ~out =
           let plain, _, s_plain =
             Rr_graph.Query.run_stats ~runner:Rr_graph.Query.Plain q ~weight ~src ~dst
           in
-          let bidir, _, s_bidir =
-            Rr_graph.Query.run_stats ~runner:Rr_graph.Query.Bidir q ~weight ~src ~dst
-          in
           let alt, _, s_alt =
             Rr_graph.Query.run_stats ~runner:Rr_graph.Query.Alt q ~weight ~src ~dst
           in
           bump ("plain." ^ wname) s_plain;
-          bump ("bidir." ^ wname) s_bidir;
           bump ("alt." ^ wname) s_alt;
           if plain = None then begin
             incr failures;
             Rr_obs.Log.errorf "smoke: pair (%d, %d) disconnected under %s" src
               dst wname
-          end;
-          if not (same_answer plain bidir) then begin
-            incr failures;
-            Rr_obs.Log.errorf "smoke: bidir differs from plain on (%d, %d) %s"
-              src dst wname
           end;
           if not (same_answer plain alt) then begin
             incr failures;
@@ -424,7 +414,6 @@ let run_continental_smoke ~pops ~pairs ~out =
   let total key = Option.value (Hashtbl.find_opt totals key) ~default:0 in
   let plain_total = total "plain.miles" + total "plain.risk" in
   let alt_total = total "alt.miles" + total "alt.risk" in
-  let bidir_total = total "bidir.miles" + total "bidir.risk" in
   let ratio_of p a = if a > 0 then float_of_int p /. float_of_int a else infinity in
   (* The >= 5x aggregate gate applies to the bit-miles pair set — the
      same weight the query/* bench kernels time. The landmark lower
@@ -435,11 +424,11 @@ let run_continental_smoke ~pops ~pairs ~out =
   let risk_ratio = ratio_of (total "plain.risk") (total "alt.risk") in
   let min_ratio = 5.0 in
   Printf.printf
-    "continental-smoke: %d PoPs, %d pairs x 2 weights x 3 runners\n\
-     settled totals: plain %d, bidir %d, alt %d\n\
+    "continental-smoke: %d PoPs, %d pairs x 2 weights x 2 runners\n\
+     settled totals: plain %d, alt %d\n\
      plain/alt ratio: %.1fx on bit-miles (gate >= %.1fx), %.1fx on \
      bit-risk-miles\n"
-    pops pairs plain_total bidir_total alt_total miles_ratio min_ratio
+    pops pairs plain_total alt_total miles_ratio min_ratio
     risk_ratio;
   if miles_ratio < min_ratio then begin
     incr failures;

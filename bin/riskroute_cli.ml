@@ -172,9 +172,8 @@ let networks_cmd =
 (* "continental-<pops>" ([Rr_explain.continental_pops]) selects the
    synthetic merged CONUS topology of that size (built on demand,
    memoised in the shared context) instead of a corpus network. It is
-   routed through the context's cached sparse Env (no n x n distance
-   matrix) and that Env's query facade, so each search can report its
-   runner and settled count. *)
+   routed through the context's cached Env and that Env's query facade,
+   so each search can report its runner and settled count. *)
 let route_continental ~pops ~src ~dst ~lambda_h =
   let c = ctx () in
   let net = Rr_engine.Context.continental c ~pops in

@@ -5,7 +5,12 @@
    provider->customer (-> phase 2).
    Phase 1 (peered):   may only descend (-> phase 2).
    Phase 2 (descend):  may only keep descending.
-   Intra-network links never change phase. *)
+   Intra-network links never change phase.
+
+   The search walks the environment's CSR arcs with an arc-indexed
+   weight, like every other router. [Graph.to_csr] lays each row out in
+   adjacency-list order, so relaxation order and equal-cost tie-breaks
+   are those of a walk over the adjacency lists. *)
 
 let phases = 3
 
@@ -21,7 +26,7 @@ let transitions relationship phase =
 
 let lifted_dijkstra merged env ~weight ~src ~dst =
   let peering = Interdomain.peering merged in
-  let graph = Env.graph env in
+  let off = Env.arc_off env and tgt = Env.arc_tgt env in
   let n = Env.node_count env in
   let size = n * phases in
   let dist = Array.make size infinity in
@@ -56,30 +61,32 @@ let lifted_dijkstra merged env ~weight ~src ~dst =
           continue := false
         end
         else
-          Rr_graph.Graph.iter_neighbors graph node (fun next ->
-              let next_phase =
-                let owner_here = Interdomain.owner merged node in
-                let owner_next = Interdomain.owner merged next in
-                if owner_here = owner_next then Some phase
-                else
-                  match
-                    Rr_topology.Peering.relationship peering owner_here owner_next
-                  with
-                  | Some relationship -> transitions relationship phase
-                  | None -> None
-              in
-              match next_phase with
-              | None -> ()
-              | Some next_phase ->
-                let s' = state next next_phase in
-                if not settled.(s') then begin
-                  let nd = d +. weight node next in
-                  if nd < dist.(s') then begin
-                    dist.(s') <- nd;
-                    parent.(s') <- s;
-                    Rr_util.Heap.push heap (nd +. pot next) s'
-                  end
-                end)
+          for k = off.(node) to off.(node + 1) - 1 do
+            let next = tgt.(k) in
+            let next_phase =
+              let owner_here = Interdomain.owner merged node in
+              let owner_next = Interdomain.owner merged next in
+              if owner_here = owner_next then Some phase
+              else
+                match
+                  Rr_topology.Peering.relationship peering owner_here owner_next
+                with
+                | Some relationship -> transitions relationship phase
+                | None -> None
+            in
+            match next_phase with
+            | None -> ()
+            | Some next_phase ->
+              let s' = state next next_phase in
+              if not settled.(s') then begin
+                let nd = d +. weight k in
+                if nd < dist.(s') then begin
+                  dist.(s') <- nd;
+                  parent.(s') <- s;
+                  Rr_util.Heap.push heap (nd +. pot next) s'
+                end
+              end
+          done
       end
   done;
   match !best_dst with
@@ -95,7 +102,8 @@ let route merged env ~src ~dst =
   if src = dst then Some (Router.route_of_path env [ src ])
   else begin
     let kappa = Env.kappa env src dst in
-    let weight u v = Env.edge_weight env ~kappa u v in
+    let miles = Env.arc_miles env and risk = Env.arc_risk env in
+    let weight k = miles.(k) +. (kappa *. risk.(k)) in
     match lifted_dijkstra merged env ~weight ~src ~dst with
     | Some (_, path) -> Some (Router.route_of_path env path)
     | None -> None
@@ -104,9 +112,8 @@ let route merged env ~src ~dst =
 let shortest merged env ~src ~dst =
   if src = dst then Some (Router.route_of_path env [ src ])
   else
-    match
-      lifted_dijkstra merged env ~weight:(Env.link_miles env) ~src ~dst
-    with
+    let miles = Env.arc_miles env in
+    match lifted_dijkstra merged env ~weight:(fun k -> miles.(k)) ~src ~dst with
     | Some (_, path) -> Some (Router.route_of_path env path)
     | None -> None
 

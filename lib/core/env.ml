@@ -2,21 +2,17 @@
    risk term is materialised into flat arrays up front, so routing sweeps
    can fan out across domains with nothing but read sharing.
 
-   - [miles] is the dense n x n great-circle matrix (row-major, 0 on the
-     diagonal), making [link_miles] a single array read for any pair.
-     Above [dense_threshold] nodes the matrix is skipped entirely
-     ([miles] is empty): per-arc miles are computed per undirected edge
-     and mirrored through the reverse-CSR mate, bit-identical to the
-     dense fill, and [link_miles] falls back to on-the-fly great-circle
-     trigonometry — that is what makes 10k-50k-PoP continental
-     environments buildable (the matrix alone would be gigabytes).
    - [arc_off]/[arc_tgt] is the graph in CSR form ([Graph.to_csr]);
      [arc_miles]/[arc_risk] carry the per-arc distance and target-node
      risk, so the Dijkstra relaxation weighs arc [k] as
      [arc_miles.(k) +. kappa *. arc_risk.(k)] — no hashing, no closure
-     over coordinates, no trigonometry. [arc_mate] pairs each arc with
-     its reverse, which is what lets [patch] enumerate the in-arcs of a
-     changed PoP in O(degree).
+     over coordinates, no trigonometry. Per-arc miles are computed once
+     per undirected edge and mirrored through [arc_mate], which pairs
+     each arc with its reverse and is what lets [patch] enumerate the
+     in-arcs of a changed PoP in O(degree). Pairs that are not arcs
+     (candidate links) pay one great-circle evaluation in
+     [link_miles]; no n x n matrix is kept, so 10k-50k-PoP continental
+     environments build like any other.
    - [mean_kappa] is summed once per build: no derivative changes
      [impact], so every [{t with ...}] copy shares it. *)
 type t = {
@@ -28,7 +24,6 @@ type t = {
   historical : float array;
   forecast : float array;
   node_risk : float array;
-  miles : float array;
   arc_off : int array;
   arc_tgt : int array;
   arc_mate : int array;
@@ -50,48 +45,22 @@ let compute_node_risk params historical forecast =
       (params.Params.lambda_h *. params.Params.risk_scale *. historical.(i))
       +. (params.Params.lambda_f *. forecast.(i)))
 
-(* Each row u fills cells (u, v) and (v, u) for v > u, so rows write
-   disjoint cell sets and the sweep parallelises cleanly. *)
-let compute_miles coords =
-  let n = Array.length coords in
-  let miles = Array.make (n * n) 0.0 in
-  Rr_util.Parallel.parallel_for n (fun u ->
-      let base = u * n in
-      for v = u + 1 to n - 1 do
-        let d = Rr_geo.Distance.miles coords.(u) coords.(v) in
-        miles.(base + v) <- d;
-        miles.((v * n) + u) <- d
-      done);
-  miles
+(* Great-circle miles with the lower-numbered endpoint first: the one
+   evaluation both [csr_arcs] and [link_miles] make for a pair. *)
+let pair_miles coords u v =
+  if u = v then 0.0
+  else if u < v then Rr_geo.Distance.miles coords.(u) coords.(v)
+  else Rr_geo.Distance.miles coords.(v) coords.(u)
 
-let dense_threshold = 1024
-
-let compute_arcs graph miles n =
+let csr_arcs graph coords =
   let arc_off, arc_tgt = Rr_graph.Graph.to_csr graph in
   let arc_mate = Rr_graph.Graph.csr_mates ~off:arc_off ~tgt:arc_tgt in
   let arc_miles = Array.make (Array.length arc_tgt) 0.0 in
-  for u = 0 to n - 1 do
-    let base = u * n in
-    for k = arc_off.(u) to arc_off.(u + 1) - 1 do
-      arc_miles.(k) <- miles.(base + arc_tgt.(k))
-    done
-  done;
-  (arc_off, arc_tgt, arc_mate, arc_miles)
-
-(* Sparse twin of [compute_arcs]: per-arc miles straight from the
-   coordinates, computed once per undirected edge at its [u < v] side
-   and mirrored through the mate — the same single trigonometric
-   evaluation the dense fill performs, so the resulting arrays are
-   bit-identical to the dense path. *)
-let compute_arcs_sparse graph coords n =
-  let arc_off, arc_tgt = Rr_graph.Graph.to_csr graph in
-  let arc_mate = Rr_graph.Graph.csr_mates ~off:arc_off ~tgt:arc_tgt in
-  let arc_miles = Array.make (Array.length arc_tgt) 0.0 in
-  for u = 0 to n - 1 do
+  for u = 0 to Rr_graph.Graph.node_count graph - 1 do
     for k = arc_off.(u) to arc_off.(u + 1) - 1 do
       let v = arc_tgt.(k) in
       if u < v then begin
-        let d = Rr_geo.Distance.miles coords.(u) coords.(v) in
+        let d = pair_miles coords u v in
         arc_miles.(k) <- d;
         arc_miles.(arc_mate.(k)) <- d
       end
@@ -102,14 +71,13 @@ let compute_arcs_sparse graph coords n =
 let compute_arc_risk node_risk arc_tgt =
   Array.map (fun v -> node_risk.(v)) arc_tgt
 
-let make ?(params = Params.default) ?dense ~graph ~coords ~impact ~historical
+let make ?(params = Params.default) ~graph ~coords ~impact ~historical
     ?forecast () =
   Rr_obs.with_kernel "env.make" (fun () ->
       let tel = Rr_obs.enabled () in
       let t0 = if tel then Rr_obs.Clock.monotonic () else 0.0 in
       Params.validate params;
       let n = Rr_graph.Graph.node_count graph in
-      let dense = match dense with Some d -> d | None -> n <= dense_threshold in
       let forecast =
         match forecast with Some f -> f | None -> Array.make n 0.0
       in
@@ -119,15 +87,7 @@ let make ?(params = Params.default) ?dense ~graph ~coords ~impact ~historical
         || Array.length forecast <> n
       then invalid_arg "Env.make: array lengths must match the node count";
       let node_risk = compute_node_risk params historical forecast in
-      let miles, (arc_off, arc_tgt, arc_mate, arc_miles) =
-        if dense then begin
-          let miles =
-            Rr_obs.with_span "env.miles_matrix" (fun () -> compute_miles coords)
-          in
-          (miles, compute_arcs graph miles n)
-        end
-        else ([||], compute_arcs_sparse graph coords n)
-      in
+      let arc_off, arc_tgt, arc_mate, arc_miles = csr_arcs graph coords in
       let query =
         Rr_graph.Query.create ~n ~off:arc_off ~tgt:arc_tgt ~miles:arc_miles ()
       in
@@ -146,7 +106,6 @@ let make ?(params = Params.default) ?dense ~graph ~coords ~impact ~historical
         historical;
         forecast;
         node_risk;
-        miles;
         arc_off;
         arc_tgt;
         arc_mate;
@@ -186,8 +145,8 @@ let of_net ?(params = Params.default) ?riskmap ?impact ?advisory
         ?forecast ())
 
 (* Risk refreshes (new forecast tick, new params) recompute only the
-   O(n + arcs) risk vectors; the distance matrix and CSR layout are
-   shared with the parent environment. *)
+   O(n + arcs) risk vectors; the CSR layout and arc miles are shared
+   with the parent environment. *)
 let with_node_risk t node_risk =
   { t with node_risk; arc_risk = compute_arc_risk node_risk t.arc_tgt }
 
@@ -211,10 +170,7 @@ let with_graph t graph =
   let n = Array.length t.coords in
   if Rr_graph.Graph.node_count graph <> n then
     invalid_arg "Env.with_graph: node-count mismatch";
-  let arc_off, arc_tgt, arc_mate, arc_miles =
-    if Array.length t.miles > 0 then compute_arcs graph t.miles n
-    else compute_arcs_sparse graph t.coords n
-  in
+  let arc_off, arc_tgt, arc_mate, arc_miles = csr_arcs graph t.coords in
   {
     t with
     graph;
@@ -317,16 +273,7 @@ let node_risk t v = t.node_risk.(v)
 
 let node_count t = Array.length t.coords
 
-let dense t = Array.length t.miles > 0
-
-(* The sparse fallback evaluates the great-circle distance with the
-   lower-numbered endpoint first — the exact call the dense fill makes
-   for cell (u, v), so both representations agree bitwise. *)
-let link_miles t u v =
-  if dense t then t.miles.((u * Array.length t.coords) + v)
-  else if u = v then 0.0
-  else if u < v then Rr_geo.Distance.miles t.coords.(u) t.coords.(v)
-  else Rr_geo.Distance.miles t.coords.(v) t.coords.(u)
+let link_miles t u v = pair_miles t.coords u v
 
 let arc_off t = t.arc_off
 

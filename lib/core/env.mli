@@ -13,16 +13,8 @@
 
 type t
 
-val dense_threshold : int
-(** Node count above which construction skips the dense n x n distance
-    matrix (1024): per-arc miles are then computed per edge and
-    {!link_miles} falls back to on-the-fly trigonometry, both
-    bit-identical to the dense path. Continental-scale graphs only fit
-    in memory this way. *)
-
 val make :
   ?params:Params.t ->
-  ?dense:bool ->
   graph:Rr_graph.Graph.t ->
   coords:Rr_geo.Coord.t array ->
   impact:float array ->
@@ -31,9 +23,7 @@ val make :
   unit ->
   t
 (** Fully explicit constructor (tests, custom data). Array lengths must
-    match the graph's node count; [forecast] defaults to all zeros.
-    [dense] overrides the {!dense_threshold} choice of representation
-    (the derived arrays are bit-identical either way). *)
+    match the graph's node count; [forecast] defaults to all zeros. *)
 
 val of_net :
   ?params:Params.t ->
@@ -103,15 +93,11 @@ val node_risk : t -> int -> float
 
 val node_count : t -> int
 
-val dense : t -> bool
-(** Whether this environment carries the dense distance matrix (see
-    {!dense_threshold}). *)
-
 val link_miles : t -> int -> int -> float
-(** Great-circle miles between two nodes — a single read out of the
-    dense distance matrix precomputed at construction, or (sparse
-    environments) the same great-circle evaluation performed on the
-    fly, bit-identical to the matrix entry. *)
+(** Great-circle miles between two nodes, evaluated on the fly with the
+    lower-numbered endpoint first (0 for [u = v]): bitwise equal to
+    {!arc_miles} when the pair is an arc. For pairs that are not arcs
+    (candidate links); hops of a routed path read {!arc_miles}. *)
 
 (** {1 Flattened hot-path arrays}
 
@@ -137,7 +123,7 @@ val arc_mate : t -> int array
 
 val arc_miles : t -> float array
 (** Great-circle miles per arc, bitwise equal to {!link_miles} of its
-    endpoints. *)
+    endpoints (see {!csr_arcs}). *)
 
 val arc_risk : t -> float array
 (** [node_risk] of the arc's target node, bitwise (refreshed by
@@ -162,3 +148,16 @@ val mean_kappa : t -> float
 val edge_weight : t -> kappa:float -> int -> int -> float
 (** [w(u, v) = d(u, v) + kappa * node_risk(v)] — the directed edge weight
     whose path sums realise Eq. 1. *)
+
+val csr_arcs :
+  Rr_graph.Graph.t ->
+  Rr_geo.Coord.t array ->
+  int array * int array * int array * float array
+(** [csr_arcs graph coords] is the geometry every environment is built
+    on: CSR offsets, targets and reverse-arc mates
+    ({!Rr_graph.Graph.to_csr}, {!Rr_graph.Graph.csr_mates}) and per-arc
+    great-circle miles, evaluated once per undirected edge with the
+    lower-numbered endpoint first and mirrored through the mate. Callers
+    that need the geometry without an environment use it so their arcs
+    match an environment's bitwise (same fingerprint, same cached
+    trees). *)

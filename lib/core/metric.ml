@@ -1,20 +1,31 @@
-let fold_hops env path ~init ~f =
+(* Hop miles come from the environment's arcs, never from a fresh
+   great-circle evaluation: [arc_miles] is bitwise [Env.link_miles] of
+   the arc's endpoints, so the folds below are the same left folds over
+   the same values the routers accumulate. *)
+let fold_hops path ~init ~f =
   let rec loop acc = function
     | a :: (b :: _ as rest) -> loop (f acc a b) rest
     | [ _ ] | [] -> acc
   in
-  ignore env;
   loop init path
 
+let path_cost env ~weight path =
+  Rr_graph.Dijkstra.path_cost ~off:(Env.arc_off env) ~tgt:(Env.arc_tgt env)
+    ~weight path
+
 let bit_miles env path =
-  fold_hops env path ~init:0.0 ~f:(fun acc a b -> acc +. Env.link_miles env a b)
+  let miles = Env.arc_miles env in
+  path_cost env ~weight:(fun k -> Array.unsafe_get miles k) path
 
 let path_risk env path =
-  fold_hops env path ~init:0.0 ~f:(fun acc _ b -> acc +. Env.node_risk env b)
+  fold_hops path ~init:0.0 ~f:(fun acc _ b -> acc +. Env.node_risk env b)
 
 let bit_risk_miles_kappa env ~kappa path =
-  fold_hops env path ~init:0.0 ~f:(fun acc a b ->
-      acc +. Env.edge_weight env ~kappa a b)
+  let miles = Env.arc_miles env and risk = Env.arc_risk env in
+  path_cost env
+    ~weight:(fun k ->
+      Array.unsafe_get miles k +. (kappa *. Array.unsafe_get risk k))
+    path
 
 type term = {
   tail : int;
@@ -30,16 +41,24 @@ type term = {
    [term_weight] to [Env.edge_weight]. *)
 let term env a b =
   let p = Env.params env in
+  let k =
+    match
+      Rr_graph.Dijkstra.find_arc ~off:(Env.arc_off env) ~tgt:(Env.arc_tgt env)
+        a b
+    with
+    | Some k -> k
+    | None -> invalid_arg "Metric.term: hop is not an arc"
+  in
   {
     tail = a;
     head = b;
-    miles = Env.link_miles env a b;
+    miles = (Env.arc_miles env).(k);
     hist = p.Params.lambda_h *. p.Params.risk_scale *. (Env.historical env).(b);
     fcst = p.Params.lambda_f *. (Env.forecast env).(b);
   }
 
 let terms env path =
-  List.rev (fold_hops env path ~init:[] ~f:(fun acc a b -> term env a b :: acc))
+  List.rev (fold_hops path ~init:[] ~f:(fun acc a b -> term env a b :: acc))
 
 let term_weight ~kappa t = t.miles +. (kappa *. (t.hist +. t.fcst))
 

@@ -12,8 +12,8 @@ let route_of_path env path =
   }
 
 (* Single-pair queries go through the environment's query facade, which
-   picks plain / bidirectional / ALT per graph size while returning
-   answers bit-identical to [Dijkstra.single_pair_flat]. *)
+   picks plain or ALT per graph size while returning answers
+   bit-identical to [Dijkstra.single_pair_flat]. *)
 let riskroute env ~src ~dst =
   let kappa = Env.kappa env src dst in
   let miles = Env.arc_miles env and risk = Env.arc_risk env in

@@ -231,19 +231,23 @@ let register_env t key e ~update =
   record_evictions c_env_evict ~name:"engine.env_lru" evicted;
   e
 
+(* Continental nets are synthetic: population fractions are the impact
+   model (the census join is both slow and meaningless there), for every
+   net [continental] built and for any net above this many PoPs — which
+   also covers continental nets built by another context, so a fresh
+   context asked for one neither runs a census join nor gets another
+   kappa. The corpus's largest net has 233 PoPs. *)
+let population_impact_above = 1024
+
 let env ?(params = Riskroute.Params.default) ?advisory t n =
   let key = env_key t n params advisory in
   match find_env t key with
   | Some e -> e
   | None ->
     let built =
-      (* Continental nets are synthetic: population fractions are the
-         impact model (the census join is both slow and meaningless
-         there), for every net [continental] built and for anything past
-         the node-count threshold at which Env.of_net goes sparse. *)
       let impact =
         if
-          Rr_topology.Net.pop_count n > Riskroute.Env.dense_threshold
+          Rr_topology.Net.pop_count n > population_impact_above
           || with_lock t (fun () ->
                  List.exists (fun (_, m) -> m == n) t.continentals)
         then Some (Rr_topology.Net.population_fractions n)
@@ -345,8 +349,8 @@ let risk_trees t env_ =
    the (net, params, advisory) environment from scratch it diffs the new
    advisory's risk field against the parent environment's, patches the
    parent ([Env.patch]), and migrates the parent's cached risk trees to
-   the child's namespace — kept verbatim when no changed arc can reach
-   into them, repaired in place ([Dijkstra.repair]) otherwise. The child
+   the child's namespace — kept verbatim when the delta changes no arc,
+   all repaired in place ([Dijkstra.repair]) otherwise. The child
    is registered under the same content-addressed key a from-scratch
    build would use, so both paths unify in the env cache; its risk
    fingerprint chains (parent fingerprint + delta fingerprint,
@@ -415,19 +419,6 @@ let patched_env ?advisory t n ~parent =
       let w_new k =
         Array.unsafe_get miles k +. (kappa *. Array.unsafe_get new_risk k)
       in
-      (* Keep test: a changed arc (u -> v) can only matter to a tree if
-         following it from the tree's distance at [u] could still beat
-         the tree's distance at [v] under either weighting — if even
-         min(w_old, w_new) overshoots strictly, the arc is slack in both
-         worlds and the tree cannot see the change. *)
-      let untouched_by (tr : Rr_graph.Dijkstra.tree) =
-        Array.for_all
-          (fun (k, u) ->
-            let du = tr.dist.(u) in
-            du = infinity
-            || du +. Float.min (w_old k) (w_new k) > tr.dist.(tgt.(k)))
-          arcs
-      in
       let frontier_limit =
         max 1
           (int_of_float
@@ -438,21 +429,16 @@ let patched_env ?advisory t n ~parent =
           (with_lock t (fun () -> trees_with_prefix t (risk_prefix parent_rfp)))
       in
       Rr_obs.with_span "engine.migrate" (fun () ->
-          (* The keep test runs here, O(changed arcs) per tree; the trees
-             that fail it are repaired as one pool batch, one task per
-             tree, each writing its own slot ([None] = kept). Repairs
-             read only immutable env arrays and cached trees, and their
-             marks and heap are domain-local scratch. *)
-          let failing = ref [] in
-          for i = Array.length candidates - 1 downto 0 do
-            let _, _, tr = candidates.(i) in
-            if not (untouched_by tr) then failing := i :: !failing
-          done;
-          let failing = Array.of_list !failing in
-          let slots = Array.make (Array.length candidates) None in
-          let m = Array.length failing in
-          Rr_util.Parallel.parallel_for ~chunks:m m (fun j ->
-              let i = failing.(j) in
+          (* Every cached tree is repaired: on a connected net a changed
+             tick leaves a tree untouched only when the changed PoP is
+             its root, and a repair with nothing dirty returns the same
+             values. The repairs run as one pool batch, one task per
+             tree, each writing its own slot; they read only immutable
+             env arrays and cached trees, and their marks and heap are
+             domain-local scratch. *)
+          let m = Array.length candidates in
+          let slots = Array.make m None in
+          Rr_util.Parallel.parallel_for ~chunks:m m (fun i ->
               let src, _, tr = candidates.(i) in
               slots.(i) <-
                 Some
@@ -464,18 +450,11 @@ let patched_env ?advisory t n ~parent =
              size. *)
           with_lock t (fun () ->
               Array.iteri
-                (fun i (src, old_key, tr) ->
-                  let tr' =
-                    match slots.(i) with
-                    | None ->
-                      incr kept;
-                      tr
-                    | Some (tr', rs) ->
-                      settled := !settled + rs.Rr_graph.Dijkstra.settled;
-                      if rs.Rr_graph.Dijkstra.full then incr evicted
-                      else incr repaired;
-                      tr'
-                  in
+                (fun i (src, old_key, _) ->
+                  let tr', rs = Option.get slots.(i) in
+                  settled := !settled + rs.Rr_graph.Dijkstra.settled;
+                  if rs.Rr_graph.Dijkstra.full then incr evicted
+                  else incr repaired;
                   ignore (Lru.remove t.trees old_key);
                   let ev =
                     Lru.add t.trees (risk_prefix child_rfp ^ string_of_int src)
@@ -514,29 +493,19 @@ let query t env_ =
   Rr_graph.Query.set_tree_provider q (dist_trees t env_);
   q
 
-(* Env-free facade for a network's geometry: per-arc miles are computed
-   once per undirected edge (mirrored through the reverse-CSR mate,
-   matching Env's arrays bitwise), so the same geometry fingerprint and
-   tree-cache namespace unify with any Env built over the same net. *)
+(* Env-free facade for a network's geometry: [Env.csr_arcs] is the
+   builder every Env uses, so the arcs, the geometry fingerprint and the
+   tree-cache namespace (landmark trees included) unify with any Env
+   built over the same net. *)
 let build_net_query t (net : Rr_topology.Net.t) =
   let n = Rr_topology.Net.pop_count net in
-  let off, tgt = Rr_graph.Graph.to_csr net.Rr_topology.Net.graph in
-  let mate = Rr_graph.Graph.csr_mates ~off ~tgt in
-  let miles = Array.make (Array.length tgt) 0.0 in
-  for u = 0 to n - 1 do
-    for k = off.(u) to off.(u + 1) - 1 do
-      let v = tgt.(k) in
-      if u < v then begin
-        let d =
-          Rr_geo.Distance.miles
-            (Rr_topology.Net.pop net u).Rr_topology.Pop.coord
-            (Rr_topology.Net.pop net v).Rr_topology.Pop.coord
-        in
-        miles.(k) <- d;
-        miles.(mate.(k)) <- d
-      end
-    done
-  done;
+  let coords =
+    Array.map (fun (p : Rr_topology.Pop.t) -> p.Rr_topology.Pop.coord)
+      net.Rr_topology.Net.pops
+  in
+  let off, tgt, _, miles =
+    Riskroute.Env.csr_arcs net.Rr_topology.Net.graph coords
+  in
   let q = Rr_graph.Query.create ~n ~off ~tgt ~miles () in
   let fp = Fingerprint.geometry ~n ~off ~tgt ~miles in
   Rr_graph.Query.set_tree_provider q (fun src ->

@@ -33,7 +33,7 @@ type stats = {
           work metric the incremental path is meant to shrink *)
   delta_patched_arcs : int;  (** arcs re-weighted across all patches *)
   delta_trees_kept : int;
-      (** cached trees migrated across an advisory tick untouched *)
+      (** cached trees carried across an empty-delta advisory tick *)
   delta_trees_repaired : int;
       (** cached trees incrementally repaired ({!Rr_graph.Dijkstra.repair}) *)
   delta_trees_evicted : int;
@@ -96,9 +96,10 @@ val env :
     {!env_cache_cap} environments, evicting the least recently used;
     evictions count in [engine.cache.env_evictions] and record an
     [evict] flight event, like the tree LRU's. Nets this context built
-    with {!continental}, and any net past
-    {!Riskroute.Env.dense_threshold}, take
-    {!Rr_topology.Net.population_fractions} as their impact. *)
+    with {!continental}, and any net above 1,024 PoPs (so also a
+    continental net another context built), take
+    {!Rr_topology.Net.population_fractions} as their impact instead of
+    the census join. *)
 
 val patched_env :
   ?advisory:Rr_forecast.Advisory.t ->
@@ -120,22 +121,23 @@ val patched_env :
     diff and a walk of the tree cache.
 
     The parent's cached risk trees migrate to the child's namespace in
-    the same step: trees no changed arc can reach into are kept
-    verbatim, the rest are repaired in place via
+    the same step. An empty delta keeps every tree verbatim ("kept"
+    means exactly that). Otherwise every tree is repaired in place via
     {!Rr_graph.Dijkstra.repair} (falling back to a full recompute when
     the dirty frontier exceeds the [RISKROUTE_REPAIR_FRONTIER] fraction
-    of the node count). The keep test runs on the calling domain; the
-    trees that fail it are repaired in parallel on the
-    {!Rr_util.Parallel} pool, one task per tree. The results are
-    applied on the calling domain in candidate order (the LRU's
-    remove/add, the kept/repaired/evicted/settled tallies and the
-    eviction counts), so counts, LRU recency and trees do not depend
-    on the pool size; the migration runs under an [engine.migrate]
-    span. The child's risk fingerprint chains from the
-    parent's ({!Fingerprint.risk_delta}), so provenance stays exact
-    without rehashing the arc arrays. Totals land in {!stats} and the
-    [engine.delta.*] counters. [parent] must be an environment over the
-    same network (typically the previous tick's). *)
+    of the node count); a tree the delta does not reach repairs with
+    nothing dirty and comes back with the same values. The repairs run
+    in parallel on the {!Rr_util.Parallel} pool, one task per tree
+    (a single tree runs inline). The results are applied on the calling
+    domain in candidate order (the LRU's remove/add, the
+    repaired/evicted/settled tallies and the eviction counts), so
+    counts, LRU recency and trees do not depend on the pool size; the
+    migration runs under an [engine.migrate] span. The child's risk
+    fingerprint chains from the parent's ({!Fingerprint.risk_delta}),
+    so provenance stays exact without rehashing the arc arrays. Totals
+    land in {!stats} and the [engine.delta.*] counters. [parent] must be
+    an environment over the same network (typically the previous
+    tick's). *)
 
 val geometry_fp : t -> Riskroute.Env.t -> Fingerprint.t
 (** {!Fingerprint.env_geometry}, memoised by the physical identity of
@@ -174,10 +176,11 @@ val net_query : t -> Rr_topology.Net.t -> Rr_graph.Query.t
 (** A query facade straight over a network's CSR — no {!Riskroute.Env}
     and no risk vectors, for callers that only need the geometry (the
     bench query kernels). Routing and explaining continental nets go
-    through the sparse {!env} instead. Per-arc miles match an Env over
-    the same net bitwise, and the geometry fingerprint (hence the
-    tree-cache namespace, landmark trees included) is shared. Memoised
-    per context by physical identity. *)
+    through {!env} instead. The arcs come from
+    {!Riskroute.Env.csr_arcs}, the builder every Env uses, so they match
+    an Env over the same net bitwise and the geometry fingerprint (hence
+    the tree-cache namespace, landmark trees included) is shared.
+    Memoised per context by physical identity. *)
 
 val continental :
   ?spec:Rr_topology.Builder.continental_spec -> t -> pops:int ->

@@ -25,7 +25,7 @@ val geometry :
 (** Raw-CSR form of {!env_geometry}: an {!Riskroute.Env} whose CSR
     equals these arrays digests identically, so tree-cache keys unify
     whether the geometry came from an environment or was built
-    directly (continental nets bypass the dense distance matrix). *)
+    directly ({!Riskroute.Env.csr_arcs} without the risk vectors). *)
 
 val env_geometry : Riskroute.Env.t -> t
 (** Node count, CSR offsets/targets and per-arc miles — everything a

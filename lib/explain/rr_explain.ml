@@ -5,12 +5,11 @@
    Env.compute_node_risk bitwise), arc weights replay the exact closures
    Router hands to Rr_graph.Query, and route totals are the query costs
    themselves. Corpus and continental networks share one pipeline over
-   the Env that Context caches (sparse past the dense threshold), and
-   the fingerprints come from Context's memo. The headline invariant —
-   the left fold of per-arc term weights equals the engine's
-   bit-risk-mile total bit-for-bit — therefore holds by construction,
-   and [side.exact] asserts it on every explained route rather than
-   trusting the argument. *)
+   the Env that Context caches, and the fingerprints come from Context's
+   memo. The headline invariant — the left fold of per-arc term weights
+   equals the engine's bit-risk-mile total bit-for-bit — therefore holds
+   by construction, and [side.exact] asserts it on every explained route
+   rather than trusting the argument. *)
 
 let c_requests = Rr_obs.Counter.make "explain.requests"
 
@@ -189,10 +188,9 @@ let explain ?params ?advisory ?(top_k = default_top_k) ctx net ~src ~dst =
   else begin
     let cache_before = Rr_engine.Context.stats_fields ctx in
     let env = Rr_engine.Context.env ?params ?advisory ctx net in
+    (* [Query.choose] picks ALT past 1,024 PoPs and prepares its
+       landmarks from the tree LRU on the first query. *)
     let q = Rr_engine.Context.query ctx env in
-    (* Past the dense threshold the landmarks pay for themselves at
-       once, and they come from the tree LRU. *)
-    if not (Riskroute.Env.dense env) then Rr_graph.Query.prepare q;
     let kappa = Riskroute.Env.kappa env src dst in
     let miles = Riskroute.Env.arc_miles env in
     let risk = Riskroute.Env.arc_risk env in

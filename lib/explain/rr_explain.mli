@@ -44,7 +44,9 @@ type side = {
   exact : bool;  (** [term_sum] = [bit_risk_miles] bit-for-bit *)
   hist_contribution : float;  (** sum of [kappa * hist] over arcs *)
   fcst_contribution : float;  (** sum of [kappa * fcst] over arcs *)
-  runner : string;  (** ["plain"] / ["bidir"] / ["alt"] *)
+  runner : string;
+      (** ["plain"] up to 1,024 PoPs, ["alt"] above
+          ({!Rr_graph.Query.choose}) *)
   settled : int;  (** nodes settled answering this side's query *)
 }
 
@@ -108,11 +110,10 @@ val explain :
   dst:int ->
   (t, string) result
 (** Explain one pair through the environment {!Rr_engine.Context.env}
-    caches — dense for corpus networks, sparse for continental ones,
-    whose landmark trees come from the tree LRU — so a repeated query
-    costs its searches and its path, not the network. [top_k] bounds
-    [top_pops] / [top_arcs] (default 5). Errors on out-of-range ids or
-    a disconnected pair. *)
+    caches — continental nets' ALT landmark trees come from the tree
+    LRU — so a repeated query costs its searches and its path, not the
+    network. [top_k] bounds [top_pops] / [top_arcs] (default 5). Errors
+    on out-of-range ids or a disconnected pair. *)
 
 val explain_continental :
   ?params:Riskroute.Params.t ->

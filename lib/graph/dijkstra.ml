@@ -335,22 +335,35 @@ let single_pair_flat ~n ~off ~tgt ~weight ~src ~dst =
     let tree = run_flat ~n ~off ~tgt ~weight ~src ~stop:dst in
     Option.map (fun path -> (tree.dist.(dst), path)) (path_of_tree tree ~src ~dst)
 
-let find_arc ~off ~tgt a b =
+(* The arc [(a, b)] by a scan of [a]'s row, -1 when absent. The int
+   annotations matter: without them [<>] is the polymorphic compare, an
+   external call per arc scanned. *)
+let arc_index ~off ~(tgt : int array) a (b : int) =
   let hi = off.(a + 1) in
-  let rec scan k =
-    if k >= hi then None else if tgt.(k) = b then Some k else scan (k + 1)
-  in
-  scan off.(a)
+  let k = ref off.(a) in
+  while !k < hi && tgt.(!k) <> b do
+    incr k
+  done;
+  if !k < hi then !k else -1
+
+let find_arc ~off ~tgt a b =
+  match arc_index ~off ~tgt a b with -1 -> None | k -> Some k
 
 (* Left-fold of arc weights along [path] — the exact float association
    the kernel accumulates, so a recomputed cost matches a search's
-   label bitwise. *)
+   label bitwise. The sum lives in a local float ref, which the
+   compiler keeps unboxed; a recursive fold would box it on every
+   hop. *)
 let path_cost ~off ~tgt ~weight path =
-  let rec go acc = function
-    | a :: (b :: _ as rest) -> (
-      match find_arc ~off ~tgt a b with
-      | Some k -> go (acc +. weight k) rest
-      | None -> invalid_arg "Dijkstra.path_cost: path edge missing from CSR")
-    | [ _ ] | [] -> acc
-  in
-  go 0.0 path
+  let acc = ref 0.0 and hops = ref path and more = ref true in
+  while !more do
+    match !hops with
+    | a :: (b :: _ as rest) ->
+      let k = arc_index ~off ~tgt a b in
+      if k < 0 then
+        invalid_arg "Dijkstra.path_cost: path edge missing from CSR";
+      acc := !acc +. weight k;
+      hops := rest
+    | [ _ ] | [] -> more := false
+  done;
+  !acc

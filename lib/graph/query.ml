@@ -2,17 +2,11 @@ open Rr_util
 
 (* Point-to-point query facade over a CSR geometry.
 
-   Three runners share one per-domain workspace:
+   Two runners share one per-domain workspace:
 
    - Plain: the [Dijkstra] kernel's loop verbatim (same push order,
      same strict [nd < dist] test), so costs, paths and equal-cost
      tie-breaks are bit-identical to [Dijkstra.single_pair_flat].
-   - Bidir: bidirectional Dijkstra; the backward search weighs reverse
-     arcs through the forward arc's index via the reverse-CSR mate
-     array (arc weights are asymmetric: target-node risk). The final
-     cost is recomputed as the left-fold of forward arc weights along
-     the reconstructed path ([Dijkstra.path_cost]), so it matches Plain
-     bitwise.
    - Alt: A* with landmark lower bounds (goal-directed). Landmarks are
      pure bit-miles distance trees, which stay admissible for every
      RiskRoute objective because risk only adds non-negative weight on
@@ -20,12 +14,16 @@ open Rr_util
      bound still underestimates. Raw labels are the same left-folds
      Plain computes, so settled distances are bit-identical.
 
+   The two loops stay separate: Plain run as Alt under a zero potential
+   answers the same but timed slower on the Tier-1 analyses, which run
+   Plain only.
+
    Workspaces live in domain-local storage: the router is called from
    inside [Parallel.map_array] sweeps, so each domain keeps its own
-   dist/parent/settled arrays, heaps and touched-node lists, restored
-   to pristine after every query by undoing only the touched entries. *)
+   dist/parent/settled arrays, heap and touched-node list, restored to
+   pristine after every query by undoing only the touched entries. *)
 
-type runner = Plain | Bidir | Alt
+type runner = Plain | Alt
 
 type landmarks = {
   sources : int array;
@@ -37,7 +35,6 @@ type t = {
   off : int array;
   tgt : int array;
   miles : float array;
-  mate : int array;
   landmark_count : int;
   lock : Mutex.t;
   mutable tree_provider : (int -> Dijkstra.tree) option;
@@ -46,8 +43,6 @@ type t = {
 
 let c_plain_runs = Rr_obs.Counter.make "query.plain.runs"
 let c_plain_settled = Rr_obs.Counter.make "query.plain.settled"
-let c_bidir_runs = Rr_obs.Counter.make "query.bidir.runs"
-let c_bidir_settled = Rr_obs.Counter.make "query.bidir.settled"
 let c_alt_runs = Rr_obs.Counter.make "query.alt.runs"
 let c_alt_settled = Rr_obs.Counter.make "query.alt.settled"
 let c_preps = Rr_obs.Counter.make "query.landmark_preps"
@@ -64,7 +59,6 @@ let create ?(landmark_count = default_landmark_count) ~n ~off ~tgt ~miles () =
     off;
     tgt;
     miles;
-    mate = Graph.csr_mates ~off ~tgt;
     landmark_count;
     lock = Mutex.create ();
     tree_provider = None;
@@ -88,19 +82,13 @@ type ws = {
   busy : bool Atomic.t;  (* claimed by a running query *)
   mutable cap : int;
   (* pristine between queries: infinity / -1 / false *)
-  mutable dist_f : float array;
-  mutable parent_f : int array;
-  mutable settled_f : bool array;
-  mutable dist_b : float array;
-  mutable parent_b : int array;
-  mutable settled_b : bool array;
-  heap_f : int Heap.t;
-  heap_b : int Heap.t;
+  mutable dist : float array;
+  mutable parent : int array;
+  mutable settled : bool array;
+  heap : int Heap.t;
   (* every node whose label was written this query (duplicates fine) *)
-  mutable touched_f : int array;
-  mutable tf_len : int;
-  mutable touched_b : int array;
-  mutable tb_len : int;
+  mutable touched : int array;
+  mutable touched_len : int;
   (* potential memo, validated by a per-query stamp *)
   mutable pi : float array;
   mutable pi_stamp : int array;
@@ -111,18 +99,12 @@ let fresh_ws () =
   {
     busy = Atomic.make false;
     cap = 0;
-    dist_f = [||];
-    parent_f = [||];
-    settled_f = [||];
-    dist_b = [||];
-    parent_b = [||];
-    settled_b = [||];
-    heap_f = Heap.create ();
-    heap_b = Heap.create ();
-    touched_f = [||];
-    tf_len = 0;
-    touched_b = [||];
-    tb_len = 0;
+    dist = [||];
+    parent = [||];
+    settled = [||];
+    heap = Heap.create ();
+    touched = [||];
+    touched_len = 0;
     pi = [||];
     pi_stamp = [||];
     stamp = 0;
@@ -147,61 +129,38 @@ let claim_ws n =
   in
   if ws.cap < n then begin
     ws.cap <- n;
-    ws.dist_f <- Array.make n infinity;
-    ws.parent_f <- Array.make n (-1);
-    ws.settled_f <- Array.make n false;
-    ws.dist_b <- Array.make n infinity;
-    ws.parent_b <- Array.make n (-1);
-    ws.settled_b <- Array.make n false;
-    if Array.length ws.touched_f = 0 then begin
-      ws.touched_f <- Array.make (max 16 n) 0;
-      ws.touched_b <- Array.make (max 16 n) 0
-    end;
+    ws.dist <- Array.make n infinity;
+    ws.parent <- Array.make n (-1);
+    ws.settled <- Array.make n false;
+    if Array.length ws.touched = 0 then
+      ws.touched <- Array.make (max 16 n) 0;
     ws.pi <- Array.make n 0.0;
     ws.pi_stamp <- Array.make n 0;
     ws.stamp <- 0;
-    Heap.ensure_capacity ws.heap_f (max 16 n);
-    Heap.ensure_capacity ws.heap_b (max 16 n)
+    Heap.ensure_capacity ws.heap (max 16 n)
   end;
   ws
 
-let touch_f ws v =
-  if ws.tf_len = Array.length ws.touched_f then begin
-    let a = Array.make (2 * ws.tf_len) 0 in
-    Array.blit ws.touched_f 0 a 0 ws.tf_len;
-    ws.touched_f <- a
+let touch ws v =
+  if ws.touched_len = Array.length ws.touched then begin
+    let a = Array.make (2 * ws.touched_len) 0 in
+    Array.blit ws.touched 0 a 0 ws.touched_len;
+    ws.touched <- a
   end;
-  ws.touched_f.(ws.tf_len) <- v;
-  ws.tf_len <- ws.tf_len + 1
-
-let touch_b ws v =
-  if ws.tb_len = Array.length ws.touched_b then begin
-    let a = Array.make (2 * ws.tb_len) 0 in
-    Array.blit ws.touched_b 0 a 0 ws.tb_len;
-    ws.touched_b <- a
-  end;
-  ws.touched_b.(ws.tb_len) <- v;
-  ws.tb_len <- ws.tb_len + 1
+  ws.touched.(ws.touched_len) <- v;
+  ws.touched_len <- ws.touched_len + 1
 
 (* Undo only what this query wrote; cheaper than O(n) refills and keeps
    the arrays pristine even when a run raises (negative weight). *)
 let reset_ws ws =
-  for i = 0 to ws.tf_len - 1 do
-    let v = ws.touched_f.(i) in
-    ws.dist_f.(v) <- infinity;
-    ws.parent_f.(v) <- -1;
-    ws.settled_f.(v) <- false
+  for i = 0 to ws.touched_len - 1 do
+    let v = ws.touched.(i) in
+    ws.dist.(v) <- infinity;
+    ws.parent.(v) <- -1;
+    ws.settled.(v) <- false
   done;
-  ws.tf_len <- 0;
-  for i = 0 to ws.tb_len - 1 do
-    let v = ws.touched_b.(i) in
-    ws.dist_b.(v) <- infinity;
-    ws.parent_b.(v) <- -1;
-    ws.settled_b.(v) <- false
-  done;
-  ws.tb_len <- 0;
-  Heap.clear ws.heap_f;
-  Heap.clear ws.heap_b
+  ws.touched_len <- 0;
+  Heap.clear ws.heap
 
 let release_ws ws =
   reset_ws ws;
@@ -306,13 +265,13 @@ let build_path parent ~src ~dst =
 
 let run_plain t ~weight ~src ~dst =
   let ws = claim_ws t.n in
-  let dist = ws.dist_f and parent = ws.parent_f and settled = ws.settled_f in
-  let heap = ws.heap_f in
+  let dist = ws.dist and parent = ws.parent and settled = ws.settled in
+  let heap = ws.heap in
   let off = t.off and tgt = t.tgt in
   let settles = ref 0 in
   Fun.protect ~finally:(fun () -> release_ws ws) @@ fun () ->
   dist.(src) <- 0.0;
-  touch_f ws src;
+  touch ws src;
   Heap.push heap 0.0 src;
   let finished = ref false in
   while (not !finished) && not (Heap.is_empty heap) do
@@ -334,7 +293,7 @@ let run_plain t ~weight ~src ~dst =
               Array.unsafe_set dist v nd;
               Array.unsafe_set parent v u;
               Heap.push heap nd v;
-              touch_f ws v
+              touch ws v
             end
           end
         done
@@ -346,105 +305,10 @@ let run_plain t ~weight ~src ~dst =
   in
   (result, !settles)
 
-let run_bidir t ~weight ~src ~dst =
-  let ws = claim_ws t.n in
-  let dist_f = ws.dist_f and parent_f = ws.parent_f and settled_f = ws.settled_f in
-  let dist_b = ws.dist_b and parent_b = ws.parent_b and settled_b = ws.settled_b in
-  let heap_f = ws.heap_f and heap_b = ws.heap_b in
-  let off = t.off and tgt = t.tgt and mate = t.mate in
-  let settles = ref 0 in
-  Fun.protect ~finally:(fun () -> release_ws ws) @@ fun () ->
-  dist_f.(src) <- 0.0;
-  touch_f ws src;
-  Heap.push heap_f 0.0 src;
-  dist_b.(dst) <- 0.0;
-  touch_b ws dst;
-  Heap.push heap_b 0.0 dst;
-  let mu = ref infinity and meet = ref (-1) in
-  let consider v total =
-    if total < !mu then begin
-      mu := total;
-      meet := v
-    end
-  in
-  let finished = ref false in
-  while not !finished do
-    let top_f = if Heap.is_empty heap_f then infinity else Heap.min_key heap_f in
-    let top_b = if Heap.is_empty heap_b then infinity else Heap.min_key heap_b in
-    (* Covers both-heaps-empty too: infinity >= mu for any mu. *)
-    if top_f +. top_b >= !mu then finished := true
-    else if top_f <= top_b then begin
-      let u = Heap.min_elt heap_f in
-      Heap.drop_min heap_f;
-      if not settled_f.(u) then begin
-        settled_f.(u) <- true;
-        incr settles;
-        let d = top_f in
-        for k = Array.unsafe_get off u to Array.unsafe_get off (u + 1) - 1 do
-          let v = Array.unsafe_get tgt k in
-          if not (Array.unsafe_get settled_f v) then begin
-            let w = weight k in
-            if w < 0.0 then invalid_arg "Dijkstra: negative edge weight";
-            let nd = d +. w in
-            if nd < Array.unsafe_get dist_f v then begin
-              Array.unsafe_set dist_f v nd;
-              Array.unsafe_set parent_f v u;
-              Heap.push heap_f nd v;
-              touch_f ws v;
-              let db = Array.unsafe_get dist_b v in
-              if db < infinity then consider v (nd +. db)
-            end
-          end
-        done
-      end
-    end
-    else begin
-      let u = Heap.min_elt heap_b in
-      Heap.drop_min heap_b;
-      if not settled_b.(u) then begin
-        settled_b.(u) <- true;
-        incr settles;
-        let d = top_b in
-        for k = Array.unsafe_get off u to Array.unsafe_get off (u + 1) - 1 do
-          let v = Array.unsafe_get tgt k in
-          if not (Array.unsafe_get settled_b v) then begin
-            (* reverse arc (v, u) costs what forward arc mate.(k) costs *)
-            let w = weight (Array.unsafe_get mate k) in
-            if w < 0.0 then invalid_arg "Dijkstra: negative edge weight";
-            let nd = d +. w in
-            if nd < Array.unsafe_get dist_b v then begin
-              Array.unsafe_set dist_b v nd;
-              Array.unsafe_set parent_b v u;
-              Heap.push heap_b nd v;
-              touch_b ws v;
-              let df = Array.unsafe_get dist_f v in
-              if df < infinity then consider v (df +. nd)
-            end
-          end
-        done
-      end
-    end
-  done;
-  let result =
-    if !meet < 0 then None
-    else begin
-      let forward = build_path parent_f ~src ~dst:!meet in
-      let rec extend acc v =
-        if v = dst then List.rev (v :: acc) else extend (v :: acc) parent_b.(v)
-      in
-      let path =
-        if !meet = dst then forward
-        else forward @ List.tl (extend [] !meet)
-      in
-      Some (Dijkstra.path_cost ~off ~tgt ~weight path, path)
-    end
-  in
-  (result, !settles)
-
 let run_alt t ~weight ~pot ~src ~dst =
   let ws = claim_ws t.n in
-  let dist = ws.dist_f and parent = ws.parent_f and settled = ws.settled_f in
-  let heap = ws.heap_f in
+  let dist = ws.dist and parent = ws.parent and settled = ws.settled in
+  let heap = ws.heap in
   let off = t.off and tgt = t.tgt in
   ws.stamp <- ws.stamp + 1;
   let stamp = ws.stamp in
@@ -461,7 +325,7 @@ let run_alt t ~weight ~pot ~src ~dst =
   let settles = ref 0 in
   Fun.protect ~finally:(fun () -> release_ws ws) @@ fun () ->
   dist.(src) <- 0.0;
-  touch_f ws src;
+  touch ws src;
   Heap.push heap (potential src) src;
   let finished = ref false in
   while (not !finished) && not (Heap.is_empty heap) do
@@ -485,7 +349,7 @@ let run_alt t ~weight ~pot ~src ~dst =
               Array.unsafe_set dist v nd;
               Array.unsafe_set parent v u;
               Heap.push heap (nd +. potential v) v;
-              touch_f ws v
+              touch ws v
             end
           end
         done
@@ -501,19 +365,13 @@ let run_alt t ~weight ~pot ~src ~dst =
 (* ------------------------------------------------------------------ *)
 (* Dispatch                                                           *)
 
-(* Below [plain_threshold] the goal-directed machinery costs more than
-   it saves (landmark prep is [landmark_count] full sweeps); between the
-   thresholds bidirectional wins without preprocessing; past
-   [alt_threshold] the graph is big enough that landmark prep amortises
-   after a handful of queries. *)
+(* Up to [plain_threshold] nodes the goal-directed machinery costs more
+   than it saves (landmark prep is [landmark_count] full sweeps); past
+   it, landmark prep amortises after a handful of queries, and with a
+   tree provider the landmark trees come from a shared cache. *)
 let plain_threshold = 1024
-let alt_threshold = 8192
 
-let choose t =
-  if t.n <= plain_threshold then Plain
-  else if prepared t then Alt
-  else if t.n <= alt_threshold then Bidir
-  else Alt
+let choose t = if t.n <= plain_threshold then Plain else Alt
 
 let run_stats ?runner t ~weight ~src ~dst =
   if src < 0 || src >= t.n then invalid_arg "Dijkstra: source out of range";
@@ -528,11 +386,6 @@ let run_stats ?runner t ~weight ~src ~dst =
       Rr_obs.Counter.incr c_plain_runs;
       Rr_obs.Counter.add c_plain_settled settles;
       (result, Plain, settles)
-    | Bidir ->
-      let result, settles = run_bidir t ~weight ~src ~dst in
-      Rr_obs.Counter.incr c_bidir_runs;
-      Rr_obs.Counter.add c_bidir_settled settles;
-      (result, Bidir, settles)
     | Alt ->
       if not (prepared t) then prepare t;
       let pot =
@@ -550,4 +403,4 @@ let run ?runner t ~weight ~src ~dst =
   let result, _, _ = run_stats ?runner t ~weight ~src ~dst in
   result
 
-let runner_name = function Plain -> "plain" | Bidir -> "bidir" | Alt -> "alt"
+let runner_name = function Plain -> "plain" | Alt -> "alt"

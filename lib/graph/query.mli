@@ -10,20 +10,17 @@
     latency or quantised OSPF costs go to
     {!Dijkstra.single_pair_flat} instead. An [infinity] arc weight
     removes the arc in every runner (it dominates anything), which is
-    how failed nodes and links are expressed. Three runners are
+    how failed nodes and links are expressed. Two runners are
     available:
 
     - {e plain} — the {!Dijkstra.single_pair_flat} kernel;
-    - {e bidir} — bidirectional Dijkstra, expanding whichever frontier
-      has the smaller top key; the backward search weighs reverse arcs
-      through the forward arc index via {!Graph.csr_mates};
     - {e alt} — A* with landmark lower bounds (ALT): ~16 landmarks
       chosen by farthest-point selection over bit-miles, their full
       distance trees reused across every weight function on the same
       geometry.
 
-    All three return bit-identical (cost, path) answers: costs are the
-    same left-fold of arc weights the plain kernel accumulates, and
+    Both return bit-identical (cost, path) answers: costs are the same
+    left-fold of arc weights the plain kernel accumulates, and
     equal-cost tie-breaks follow the plain kernel's settle order.
 
     Queries reuse per-domain scratch (distance/parent/settled arrays,
@@ -36,7 +33,7 @@
 
 type t
 
-type runner = Plain | Bidir | Alt
+type runner = Plain | Alt
 
 val create :
   ?landmark_count:int ->
@@ -46,9 +43,9 @@ val create :
   miles:float array ->
   unit ->
   t
-(** Wrap a CSR geometry (see {!Graph.to_csr}); builds the reverse-CSR
-    mate table eagerly. [landmark_count] defaults to 16. The arrays are
-    borrowed, not copied — treat them as frozen. *)
+(** Wrap a CSR geometry (see {!Graph.to_csr}). [landmark_count]
+    defaults to 16. The arrays are borrowed, not copied — treat them as
+    frozen. *)
 
 val node_count : t -> int
 val arc_off : t -> int array
@@ -81,9 +78,8 @@ val potential : t -> dst:int -> (int -> float) option
     use it as an A* heuristic. *)
 
 val choose : t -> runner
-(** Selection policy: plain for small graphs (n <= 1024), ALT once
-    landmarks are prepared, bidirectional for mid-size unprepared
-    graphs, ALT (preparing on demand) past n = 8192. *)
+(** Selection policy: plain up to 1024 nodes, ALT above (preparing the
+    landmarks on demand, through the tree provider when one is set). *)
 
 val run :
   ?runner:runner ->
@@ -106,9 +102,9 @@ val run_stats :
   dst:int ->
   (float * int list) option * runner * int
 (** Like {!run} but also reports which runner served the query and how
-    many nodes it settled (both frontiers combined for bidir; 0 for the
-    trivial [src = dst] query). Settled counts also feed the
-    [query.<runner>.settled] {!Rr_obs} counters. *)
+    many nodes it settled (0 for the trivial [src = dst] query).
+    Settled counts also feed the [query.<runner>.settled] {!Rr_obs}
+    counters. *)
 
 val runner_name : runner -> string
-(** ["plain"] / ["bidir"] / ["alt"]. *)
+(** ["plain"] / ["alt"]. *)

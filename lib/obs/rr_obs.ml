@@ -595,6 +595,9 @@ module Flight = struct
     ev_name : string;
     ev_span : int;
     ev_detail : string;
+    ev_dur : float;
+        (* a span end's duration in seconds, [nan] on other events: its
+           [dur=...] detail is formatted only when the ring is dumped *)
   }
 
   let null_event =
@@ -606,6 +609,7 @@ module Flight = struct
       ev_name = "";
       ev_span = 0;
       ev_detail = "";
+      ev_dur = Float.nan;
     }
 
   let default_capacity = 512
@@ -648,7 +652,8 @@ module Flight = struct
 
   let recorded () = Atomic.get seq - 1
 
-  let record ?time ?(name = "") ?span ?(detail = "") ~kind () =
+  let record ?time ?(name = "") ?span ?(detail = "") ?(dur = Float.nan) ~kind
+      () =
     let s = Domain.DLS.get shard_key in
     let slots = s.fs_slots in
     let cap = Array.length slots in
@@ -664,6 +669,7 @@ module Flight = struct
           ev_name = name;
           ev_span = span;
           ev_detail = detail;
+          ev_dur = dur;
         }
       in
       slots.(s.fs_count mod cap) <- ev;
@@ -696,6 +702,10 @@ module Flight = struct
       !shards;
     Mutex.unlock shards_lock
 
+  let detail ev =
+    if Float.is_nan ev.ev_dur then ev.ev_detail
+    else Printf.sprintf "dur=%.6fs" ev.ev_dur
+
   let to_json () =
     let evs = events () in
     let b = Buffer.create 4096 in
@@ -718,7 +728,7 @@ module Flight = struct
         add "\", \"name\": \"";
         json_escape b ev.ev_name;
         add (Printf.sprintf "\", \"span\": %d, \"detail\": \"" ev.ev_span);
-        json_escape b ev.ev_detail;
+        json_escape b (detail ev);
         add "\"}")
       evs;
     add (if evs = [] then "]\n}\n" else "\n  ]\n}\n");
@@ -760,9 +770,7 @@ let with_span ?(registry = Registry.default) name f =
       ~finally:(fun () ->
         let t1 = Clock.monotonic () in
         let dur = t1 -. t0 in
-        Flight.record ~time:t1 ~name ~span:id
-          ~detail:(Printf.sprintf "dur=%.6fs" dur)
-          ~kind:"span_end" ();
+        Flight.record ~time:t1 ~name ~span:id ~dur ~kind:"span_end" ();
         open_pop ();
         Domain.DLS.set cur_key parent;
         push_span registry

@@ -362,42 +362,113 @@ let test_patched_env_offshore_keeps_trees () =
   Alcotest.(check bool) "tree 0 physically shared" true (risk1 0 == t0);
   Alcotest.(check bool) "tree 1 physically shared" true (risk1 1 == t1)
 
-let test_env_sparse_dense_equivalence () =
-  let zoo = Rr_topology.Zoo.shared () in
-  let net = Option.get (Rr_topology.Zoo.find zoo "Level3") in
-  let coords =
-    Array.map
-      (fun (p : Rr_topology.Pop.t) -> p.Rr_topology.Pop.coord)
-      net.Rr_topology.Net.pops
-  in
-  let dense_env = Env.of_net ~advisory:(sandy_adv 40) net in
-  Alcotest.(check bool) "corpus net is dense" true (Env.dense dense_env);
-  let sparse_env =
-    Env.make ~dense:false ~graph:net.Rr_topology.Net.graph ~coords
-      ~impact:(Env.impact dense_env)
-      ~historical:(Env.historical dense_env)
-      ~forecast:(Env.forecast dense_env) ()
-  in
-  Alcotest.(check bool) "forced sparse" false (Env.dense sparse_env);
-  check_envs_bitwise "sparse vs dense" dense_env sparse_env;
-  (* link_miles answers from trig instead of the matrix — bit-identical
-     in both argument orders. *)
-  let n = Env.node_count dense_env in
-  for u = 0 to min 24 (n - 1) do
-    for v = 0 to min 24 (n - 1) do
-      if u <> v then begin
-        if
-          bits (Env.link_miles dense_env u v)
-          <> bits (Env.link_miles sparse_env u v)
-        then Alcotest.failf "link_miles mismatch at (%d, %d)" u v
-      end
-    done
-  done
-
 let continental_net =
   lazy
     (let ctx = Context.create () in
      Context.continental ctx ~pops:2000)
+
+(* The one representation against a literal reference: every distance
+   an Env hands out is [Rr_geo.Distance.miles] with the lower-numbered
+   endpoint first, and Metric's folds over routed paths are the plain
+   left folds of that value and [node_risk]. *)
+let reference_miles coords u v =
+  if u = v then 0.0
+  else if u < v then Rr_geo.Distance.miles coords.(u) coords.(v)
+  else Rr_geo.Distance.miles coords.(v) coords.(u)
+
+let check_env_reference label env ~pairs ~routes =
+  let coords = Env.coords env in
+  let off = Env.arc_off env and tgt = Env.arc_tgt env in
+  let miles = Env.arc_miles env in
+  for u = 0 to Env.node_count env - 1 do
+    for k = off.(u) to off.(u + 1) - 1 do
+      if bits miles.(k) <> bits (reference_miles coords u tgt.(k)) then
+        Alcotest.failf "%s: arc_miles mismatch on arc %d (%d, %d)" label k u
+          tgt.(k)
+    done
+  done;
+  List.iter
+    (fun (u, v) ->
+      let r = bits (reference_miles coords u v) in
+      if
+        bits (Env.link_miles env u v) <> r
+        || bits (Env.link_miles env v u) <> r
+      then Alcotest.failf "%s: link_miles mismatch at (%d, %d)" label u v)
+    pairs;
+  let fold path ~f =
+    let rec go acc = function
+      | a :: (b :: _ as rest) -> go (acc +. f a b) rest
+      | [ _ ] | [] -> acc
+    in
+    go 0.0 path
+  in
+  List.iter
+    (fun (src, dst) ->
+      let kappa = Env.kappa env src dst in
+      List.iter
+        (fun (r : Router.route option) ->
+          let path = (Option.get r).Router.path in
+          let want_miles = fold path ~f:(reference_miles coords) in
+          let want_risk =
+            fold path ~f:(fun a b ->
+                reference_miles coords a b +. (kappa *. Env.node_risk env b))
+          in
+          let check what got want =
+            if bits got <> bits want then
+              Alcotest.failf "%s: %s on (%d, %d): %h vs %h" label what src dst
+                got want
+          in
+          check "bit_miles" (Metric.bit_miles env path) want_miles;
+          check "bit_risk_miles_kappa"
+            (Metric.bit_risk_miles_kappa env ~kappa path)
+            want_risk;
+          check "terms_total"
+            (Metric.terms_total ~kappa (Metric.terms env path))
+            want_risk)
+        [ Router.riskroute env ~src ~dst; Router.shortest env ~src ~dst ])
+    routes;
+  (* A hop that is not an arc has no arc miles: Metric refuses it. *)
+  let graph = Env.graph env in
+  let u, v =
+    List.find
+      (fun (u, v) -> u <> v && not (Rr_graph.Graph.has_edge graph u v))
+      pairs
+  in
+  let raises what f =
+    match f () with
+    | _ ->
+      Alcotest.failf "%s: %s accepted the non-arc hop (%d, %d)" label what u v
+    | exception Invalid_argument _ -> ()
+  in
+  raises "bit_miles" (fun () -> Metric.bit_miles env [ u; v ]);
+  raises "bit_risk_miles_kappa" (fun () ->
+      Metric.bit_risk_miles_kappa env ~kappa:1.0 [ u; v ]);
+  raises "term" (fun () -> Metric.term env u v)
+
+let test_env_reference () =
+  let level3 =
+    Env.of_net ~advisory:(sandy_adv 40)
+      (Option.get (Rr_topology.Zoo.find (Rr_topology.Zoo.shared ()) "Level3"))
+  in
+  let n = Env.node_count level3 in
+  let all_pairs =
+    List.concat_map
+      (fun u -> List.init (n - u) (fun i -> (u, u + i)))
+      (List.init n Fun.id)
+  in
+  check_env_reference "Level3" level3 ~pairs:all_pairs
+    ~routes:[ (0, n - 1); (17, 101); (200, 3) ];
+  let continental =
+    Context.env ~advisory:(sandy_adv 40) (Context.create ())
+      (Lazy.force continental_net)
+  in
+  let n = Env.node_count continental in
+  let rng = Rr_util.Prng.create 0x2000L in
+  let sampled =
+    List.init 4000 (fun _ -> (Rr_util.Prng.int rng n, Rr_util.Prng.int rng n))
+  in
+  check_env_reference "continental-2000" continental ~pairs:sampled
+    ~routes:[ (0, n - 1); (123, 1750); (1999, 500) ]
 
 let test_patched_env_continental () =
   let net = Lazy.force continental_net in
@@ -406,8 +477,6 @@ let test_patched_env_continental () =
       with_domains domains (fun () ->
           let ctx = Context.create () in
           let e0 = Context.env ~advisory:(sandy_adv 40) ctx net in
-          Alcotest.(check bool) "continental env is sparse" false
-            (Env.dense e0);
           let risk0 = Context.risk_trees ctx e0 in
           List.iter (fun s -> ignore (risk0 s)) [ 0; 7 ];
           let e1 =
@@ -588,12 +657,12 @@ let test_migration_keeps_lru_recency () =
         stats1 stats)
     [ 2; 4 ]
 
-(* The pool sees only trees that fail the keep test. On a connected
-   net a tree keeps across a changed tick only when the changed PoP is
-   its root, so Sandy 32 -> 33, which changes one PoP of
-   continental-2000, keeps the tree rooted there: no batch. With one
-   more tree that fails, the single repair runs inline: still none.
-   Three failing trees make one batch. *)
+(* Kept means an empty delta: Sandy 0 -> 1 is offshore, so every
+   cached tree carries over without a repair or a pool batch. A changed
+   tick repairs every cached tree — Sandy 32 -> 33 changes one PoP of
+   continental-2000, and even the tree rooted there, which the change
+   cannot reach, is repaired (with nothing dirty). A single repair runs
+   inline; several make one batch. *)
 let test_kept_trees_skip_the_pool () =
   let net = Lazy.force continental_net in
   let changed =
@@ -613,13 +682,16 @@ let test_kept_trees_skip_the_pool () =
   let batches = Rr_obs.Counter.make "parallel.batches" in
   with_domains 2 @@ fun () ->
   with_telemetry @@ fun () ->
-  let tick sources =
+  let tick ?(from = 32) sources =
     let ctx = Context.create () in
-    let e32 = Context.env ~advisory:(sandy_adv 32) ctx net in
-    List.iter (fun s -> ignore (Context.risk_trees ctx e32 s)) sources;
+    let e = Context.env ~advisory:(sandy_adv from) ctx net in
+    List.iter (fun s -> ignore (Context.risk_trees ctx e s)) sources;
     let b0 = Rr_obs.Counter.value batches in
-    let e33 = Context.patched_env ~advisory:(sandy_adv 33) ctx net ~parent:e32 in
-    Alcotest.(check bool) "the tick changed the env" false (e33 == e32);
+    let e' =
+      Context.patched_env ~advisory:(sandy_adv (from + 1)) ctx net ~parent:e
+    in
+    Alcotest.(check bool) "parent env reused on the empty delta only"
+      (from = 0) (e' == e);
     let st = Context.stats ctx in
     ( st.Context.delta_trees_kept,
       st.Context.delta_trees_repaired + st.Context.delta_trees_evicted,
@@ -628,10 +700,11 @@ let test_kept_trees_skip_the_pool () =
   let check label expected got =
     Alcotest.(check (triple int int int)) label expected got
   in
-  check "every tree kept: no batch" (1, 0, 0) (tick [ root ]);
-  check "one failing tree: repaired inline" (1, 1, 0)
-    (tick [ root; List.hd others ]);
-  check "several failing trees: one batch" (1, List.length others, 1)
+  check "empty delta: every tree kept, no batch"
+    (1 + List.length others, 0, 0)
+    (tick ~from:0 (root :: others));
+  check "one tree: repaired inline" (0, 1, 0) (tick [ root ]);
+  check "several trees: one batch" (0, 1 + List.length others, 1)
     (tick (root :: others))
 
 (* One changed tick records one engine.migrate span, and under it one
@@ -756,8 +829,8 @@ let () =
             test_patched_env_matches_fresh;
           Alcotest.test_case "offshore tick keeps trees" `Quick
             test_patched_env_offshore_keeps_trees;
-          Alcotest.test_case "sparse = dense env" `Quick
-            test_env_sparse_dense_equivalence;
+          Alcotest.test_case "env = great-circle reference" `Quick
+            test_env_reference;
           Alcotest.test_case "continental patch, domains 1/2/4" `Slow
             test_patched_env_continental;
           Alcotest.test_case "continental landfall diff is windowed" `Slow

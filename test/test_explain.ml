@@ -144,8 +144,8 @@ let test_storm_overlay_exact () =
    over net_query's own CSR: node risk
    [lambda_h * risk_scale * pop_risk], kappa from the population
    fractions, searched by the plain kernel. Sizes on both sides of the
-   dense threshold: a small continental net is still impact-weighted by
-   population fractions. *)
+   1,024-PoP line (plain below, ALT above): a small continental net is
+   still impact-weighted by population fractions. *)
 
 let continental_pairs ~n =
   let rng = Random.State.make [| 0xc2000 |] in
@@ -256,6 +256,25 @@ let test_continental_second_explain_cached () =
     (Context.stats ctx).Context.tree_misses;
   check_bits "same answer" first.Explain.riskroute.Explain.bit_risk_miles
     second.Explain.riskroute.Explain.bit_risk_miles
+
+(* Landmarks prepared through the Env-free facade serve the first
+   explain: both facades build their arcs with [Env.csr_arcs], so the
+   geometry fingerprint, and with it every landmark tree, is shared. *)
+let test_net_query_landmarks_serve_explain () =
+  let ctx = Context.create () in
+  let q = Context.net_query ctx (Context.continental ctx ~pops:2000) in
+  Rr_graph.Query.prepare q;
+  let t = explain_exn ctx ~net:"continental-2000" ~src:"Chicago" ~dst:"Miami" in
+  let delta name =
+    List.assoc name t.Explain.cache_after
+    - List.assoc name t.Explain.cache_before
+  in
+  Alcotest.(check int) "no tree computed" 0 (delta "tree.misses");
+  Alcotest.(check int) "seed and landmark trees all hit"
+    (1 + Array.length (Rr_graph.Query.landmark_sources q))
+    (delta "tree.hits");
+  Alcotest.(check string) "served by alt" "alt"
+    t.Explain.riskroute.Explain.runner
 
 (* Fingerprints come from Context's memo and name the same content a
    fresh hash of the env does. *)
@@ -724,6 +743,8 @@ let () =
             test_continental_exact_all_pools;
           Alcotest.test_case "second continental explain is cached" `Quick
             test_continental_second_explain_cached;
+          Alcotest.test_case "net_query landmarks serve explain" `Quick
+            test_net_query_landmarks_serve_explain;
           Alcotest.test_case "fingerprints are the env's" `Quick
             test_fingerprints_are_the_envs;
         ] );

@@ -530,6 +530,38 @@ let test_span_events_in_flight_ring () =
     [ "span_begin"; "span_end" ]
     (kinds_for "flight.probe")
 
+(* A span end keeps its duration as a float in the ring; the dump
+   formats it, and the text must be exactly what the span recorded. *)
+let test_span_end_detail_in_dump () =
+  with_telemetry @@ fun () ->
+  with_flight 64 @@ fun () ->
+  Rr_obs.with_span "flight.dur_probe" (fun () -> ());
+  let sp =
+    List.find
+      (fun s -> s.Rr_obs.sp_name = "flight.dur_probe")
+      (Rr_obs.spans ())
+  in
+  let str k ev = Option.bind (Rr_perf.Json.member k ev) Rr_perf.Json.to_str in
+  let events =
+    match Rr_perf.Json.parse (Rr_obs.Flight.to_json ()) with
+    | Error e -> Alcotest.failf "flight dump is not valid JSON: %s" e
+    | Ok j ->
+      Option.value ~default:[]
+        (Option.bind (Rr_perf.Json.member "events" j) Rr_perf.Json.to_arr)
+  in
+  match
+    List.filter
+      (fun ev ->
+        str "name" ev = Some "flight.dur_probe"
+        && str "kind" ev = Some "span_end")
+      events
+  with
+  | [ ev ] ->
+    Alcotest.(check (option string)) "span_end detail"
+      (Some (Printf.sprintf "dur=%.6fs" sp.Rr_obs.sp_dur))
+      (str "detail" ev)
+  | evs -> Alcotest.failf "expected 1 span_end event, got %d" (List.length evs)
+
 (* --- structured logging --- *)
 
 (* Capture records through the sink; always restore stderr rendering
@@ -946,6 +978,8 @@ let () =
             test_flight_json_parses;
           Alcotest.test_case "span begin/end events" `Quick
             test_span_events_in_flight_ring;
+          Alcotest.test_case "span end detail formatted at dump" `Quick
+            test_span_end_detail_in_dump;
         ] );
       ( "log",
         [

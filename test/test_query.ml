@@ -1,4 +1,4 @@
-(* Point-to-point query facade: every runner must return bit-identical
+(* Point-to-point query facade: both runners must return bit-identical
    (cost, path) answers to the plain single-pair kernel, on any graph,
    under any RiskRoute weight function, at any pool size. *)
 
@@ -63,7 +63,7 @@ let check_pair ~what q ~off:_ ~tgt:_ ~weight ~reference ~src ~dst =
       if not (same_answer expect got) then
         Alcotest.failf "%s: %s differs from plain kernel on (%d, %d)" what
           (Query.runner_name runner) src dst)
-    [ Query.Plain; Query.Bidir; Query.Alt ]
+    [ Query.Plain; Query.Alt ]
 
 let test_plain_matches_flat () =
   let net = builder_net ~seed:11L ~pops:40 in
@@ -81,7 +81,7 @@ let test_plain_matches_flat () =
   done
 
 let runners_agree =
-  QCheck.Test.make ~name:"bidir and alt agree with plain bitwise" ~count:12
+  QCheck.Test.make ~name:"alt agrees with plain bitwise" ~count:12
     QCheck.(triple small_nat small_nat small_nat)
     (fun (a, b, c) ->
       (* Clamp in the body: shrinkers may step outside generator
@@ -156,7 +156,7 @@ let test_disconnected () =
         true
         (Query.run ~runner q ~weight:(fun k -> miles.(k)) ~src:0 ~dst:3
         = None))
-    [ Query.Plain; Query.Bidir; Query.Alt ]
+    [ Query.Plain; Query.Alt ]
 
 let test_src_eq_dst_and_ranges () =
   let net = builder_net ~seed:5L ~pops:20 in
@@ -222,7 +222,23 @@ let test_choose_policy () =
   let q, _, _, _ = query_of_env env in
   Query.prepare q;
   Alcotest.(check string) "prepared small -> plain still" "plain"
-    (Query.runner_name (Query.choose q))
+    (Query.runner_name (Query.choose q));
+  (* Past 1,024 nodes ALT is chosen whether or not the landmarks are
+     ready: the first query prepares them. *)
+  let ctx = Rr_engine.Context.create () in
+  let q =
+    Rr_engine.Context.net_query ctx
+      (Rr_engine.Context.continental ctx ~pops:2000)
+  in
+  Alcotest.(check bool) "continental-2000 unprepared" false (Query.prepared q);
+  Alcotest.(check string) "unprepared continental-2000 -> alt" "alt"
+    (Query.runner_name (Query.choose q));
+  let miles = Query.arc_miles q in
+  let _, runner, _ =
+    Query.run_stats q ~weight:(fun k -> miles.(k)) ~src:0 ~dst:1999
+  in
+  Alcotest.(check string) "served by alt" "alt" (Query.runner_name runner);
+  Alcotest.(check bool) "prepared on demand" true (Query.prepared q)
 
 let coord lat lon = Rr_geo.Coord.make ~lat ~lon
 
@@ -349,7 +365,7 @@ let test_nested_query () =
               (same_answer (reference outer_env ~weight:plain ~src:7 ~dst:100) next)
           then Alcotest.failf "%s: next query on the domain differs" label)
         [ 1; 9; 25 ])
-    [ Query.Plain; Query.Bidir; Query.Alt ]
+    [ Query.Plain; Query.Alt ]
 
 let () =
   Alcotest.run "query"
