@@ -167,19 +167,29 @@ let candidates ?(max_candidates = 400) ?(reduction_threshold = 0.5) ?dist_trees
   let dist_matrix =
     all_pairs_rows ?trees:dist_trees env ~arc_weight:(fun k -> miles.(k))
   in
-  let scored = ref [] in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      if not (Rr_graph.Graph.has_edge graph u v) then begin
-        let direct = Env.link_miles env u v in
-        let current = dist_matrix.(u).(v) in
-        (* The paper keeps links yielding > 50% bit-miles reduction. *)
-        if current < infinity && direct < reduction_threshold *. current then
-          scored := (current -. direct, (u, v)) :: !scored
-      end
-    done
-  done;
-  List.sort (fun (a, _) (b, _) -> Float.compare b a) !scored
+  (* Rows are independent, so they run on the pool. Each row conses its
+     pairs in increasing [v]; concatenating the rows in decreasing [u]
+     rebuilds the list a sequential double loop would cons, so the
+     stable sort breaks ties, and the cut keeps candidates, exactly as
+     it always has. *)
+  let rows =
+    Parallel.map_array
+      (fun u ->
+        let row = ref [] in
+        for v = u + 1 to n - 1 do
+          if not (Rr_graph.Graph.has_edge graph u v) then begin
+            let direct = Env.link_miles env u v in
+            let current = dist_matrix.(u).(v) in
+            (* The paper keeps links yielding > 50% bit-miles reduction. *)
+            if current < infinity && direct < reduction_threshold *. current then
+              row := (current -. direct, (u, v)) :: !row
+          end
+        done;
+        !row)
+      (node_ids n)
+  in
+  let scored = Array.fold_left (fun acc row -> row @ acc) [] rows in
+  List.sort (fun (a, _) (b, _) -> Float.compare b a) scored
   |> Rr_util.Listx.take max_candidates
   |> List.map snd
 

@@ -47,6 +47,7 @@ let run ?rng ?(samples = 400) ?(pair_cap = 150) ?(mttr_hours = 12.0)
       if s.Outagesim.failed_pops <> [] then begin
         let failed = Array.make n false in
         List.iter (fun v -> failed.(v) <- true) s.Outagesim.failed_pops;
+        let label = Outagesim.strike_labels env ~failed in
         let path_alive path = List.for_all (fun v -> not failed.(v)) path in
         Array.iteri
           (fun i (src, dst, shortest, riskroute) ->
@@ -60,9 +61,7 @@ let run ?rng ?(samples = 400) ?(pair_cap = 150) ?(mttr_hours = 12.0)
             in
             if static_down shortest then down_shortest.(i) <- down_shortest.(i) + 1;
             if static_down riskroute then down_riskroute.(i) <- down_riskroute.(i) + 1;
-            let reactive_down =
-              endpoint_dead || not (Outagesim.reactive_survives env ~failed ~src ~dst)
-            in
+            let reactive_down = endpoint_dead || label.(src) <> label.(dst) in
             if reactive_down then down_reactive.(i) <- down_reactive.(i) + 1)
           static
       end)

@@ -30,6 +30,9 @@ val run :
 (** Monte Carlo estimate (defaults: 400 strike samples, 150 pairs, 12 h
     MTTR, 80-mile damage radius, hurricane strikes). Expected downtime of
     a pair is [rate * P(strike takes its path down) * MTTR]; endpoint
-    failures count against every posture. Raises [Invalid_argument]
+    failures count against every posture. The reactive posture takes
+    one {!Outagesim.strike_labels} labelling per strike that fails a
+    PoP and one label comparison per pair, bitwise equal to a masked
+    single-pair search per (strike, pair). Raises [Invalid_argument]
     when [mttr_hours] or [radius_miles] is not a positive finite
     number. *)

@@ -41,16 +41,12 @@ let sample_scenarios ?rng ?(radius_miles = 80.0) ?(probabilistic = false) ~kind
 
 let c_scenarios = Rr_obs.Counter.make "outagesim.scenarios"
 
-let c_reactive = Rr_obs.Counter.make "outagesim.reactive_checks"
+let c_labelings = Rr_obs.Counter.make "outagesim.labelings"
 
-(* Arcs into a failed PoP weigh infinity, so the search never settles
-   one; only the source needs its own check. *)
-let reactive_survives env ~failed ~src ~dst =
-  Rr_obs.Counter.incr c_reactive;
-  let tgt = Env.arc_tgt env and miles = Env.arc_miles env in
-  let weight k = if failed.(tgt.(k)) then infinity else miles.(k) in
-  (not failed.(src))
-  && Rr_graph.Query.run (Env.query env) ~weight ~src ~dst <> None
+let strike_labels env ~failed =
+  Rr_obs.Counter.incr c_labelings;
+  Rr_graph.Component.labels ~off:(Env.arc_off env) ~tgt:(Env.arc_tgt env)
+    ~removed:failed
 
 let run ?rng ?(scenario_count = 200) ?(pair_cap = 200) ?(radius_miles = 80.0)
     ?(kind = Rr_disaster.Event.Fema_hurricane) env =
@@ -83,6 +79,11 @@ let run ?rng ?(scenario_count = 200) ?(pair_cap = 200) ?(radius_miles = 80.0)
       (fun scenario ->
         let failed = Array.make n false in
         List.iter (fun v -> failed.(v) <- true) scenario.failed_pops;
+        (* One labelling answers the reactive posture of every pair. *)
+        let label =
+          if scenario.failed_pops = [] then [||]
+          else strike_labels env ~failed
+        in
         let path_alive path = List.for_all (fun v -> not failed.(v)) path in
         let live_pairs = ref 0
         and s_ok = ref 0
@@ -103,10 +104,8 @@ let run ?rng ?(scenario_count = 200) ?(pair_cap = 200) ?(radius_miles = 80.0)
               | Some (route : Router.route) ->
                 if path_alive route.Router.path then incr r_ok
               | None -> ());
-              if
-                scenario.failed_pops = []
-                || reactive_survives env ~failed ~src ~dst
-              then incr re_ok
+              if scenario.failed_pops = [] || label.(src) = label.(dst) then
+                incr re_ok
             end)
           static;
         let total = Array.length static in

@@ -9,7 +9,8 @@
       cannot change — the pair survives only if no PoP on it failed;
     - {e static riskroute}: the RiskRoute path was installed instead;
     - {e reactive}: routing reconverges after the failure (upper bound) —
-      the pair survives if any path remains.
+      the pair survives if any path remains. One connectivity labelling
+      per strike answers this for every pair.
 
     The gap between the first two is the operational value of RiskRoute's
     preemptive avoidance; the third shows how much headroom reactive
@@ -43,15 +44,27 @@ val sample_scenarios :
     al. (the paper's reference [20]). Raises [Invalid_argument] when
     [count <= 0] or [radius_miles] is not a positive finite number. *)
 
-val reactive_survives :
-  Env.t -> failed:bool array -> src:int -> dst:int -> bool
-(** The reactive posture for one pair: whether a path from [src] to
-    [dst] survives once every PoP with [failed.(v)] is removed (false
-    when an endpoint failed). [failed] has one entry per PoP. *)
+val strike_labels : Env.t -> failed:bool array -> int array
+(** The reactive posture of one strike, for every pair at once: the
+    {!Rr_graph.Component.labels} of the environment's CSR arcs with
+    every PoP [v] with [failed.(v)] removed ([failed] has one entry per
+    PoP). A pair survives reactive rerouting exactly when
+    [label.(src) = label.(dst) >= 0] — the answer a per-pair search that
+    weighs every arc into a failed PoP as [infinity] gives. Bumps the
+    [outagesim.labelings] counter once per call. *)
 
 val run :
   ?rng:Rr_util.Prng.t -> ?scenario_count:int -> ?pair_cap:int ->
   ?radius_miles:float -> ?kind:Rr_disaster.Event.kind -> Env.t -> result
 (** Full simulation (defaults: 200 hurricane-kind scenarios, 200 pairs,
-    80-mile damage radius). Raises [Invalid_argument] on the inputs
+    80-mile damage radius). Each strike that fails at least one PoP is
+    labelled once with {!strike_labels}, and every pair's reactive
+    posture is one label comparison; the result is bitwise equal to a
+    masked single-pair search per (strike, pair).
+
+    A quiet strike (one that fails no PoP) counts every pair as a
+    reactive survivor without looking at the topology, so on a
+    disconnected network a pair that had no path before the strike
+    still survives it; a strike that fails any PoP counts such a pair
+    as lost. Raises [Invalid_argument] on the inputs
     {!sample_scenarios} rejects. *)

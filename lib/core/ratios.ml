@@ -12,12 +12,25 @@ let c_pairs = Rr_obs.Counter.make "ratios.pairs_routed"
 
 let h_sweep = Rr_obs.Histogram.make "ratios.sweep_seconds"
 
+(* The Eq. 5-6 terms of one pair whose RiskRoute and shortest routes
+   both exist. A sweep keeps only these, not the routes: holding both
+   routes, paths included, for every pair until the sums run promotes
+   them all to the major heap (about 490k more words for a 6,000-pair
+   sweep of Level3). *)
+type costs = {
+  rr_risk : float;  (* RiskRoute path's bit-risk miles *)
+  rr_miles : float;
+  sp_risk : float;  (* shortest path's bit-risk miles *)
+  sp_miles : float;
+}
+
 (* Route every sampled pair, grouping pairs by source so one geographic
    shortest-path tree serves all destinations sharing that source
    (RiskRoute paths still need one run per pair, since [kappa] depends
    on both endpoints). Per-pair results are computed independently on
    the domain pool and consumed in pair order, so downstream
-   accumulation is bit-identical at any pool size. *)
+   accumulation is bit-identical at any pool size. [None] when
+   [src = dst] or either route is missing. *)
 let pair_routes ?trees env pairs =
  Rr_obs.with_span "ratios.pair_routes" @@ fun () ->
   let tel = Rr_obs.enabled () in
@@ -41,10 +54,21 @@ let pair_routes ?trees env pairs =
   let routed =
     Parallel.map_array
       (fun (src, dst) ->
-        if src = dst then (None, None)
+        if src = dst then None
         else
-          ( Router.riskroute env ~src ~dst,
-            Router.shortest_of_tree env trees.(Hashtbl.find slot src) ~src ~dst ))
+          match
+            ( Router.riskroute env ~src ~dst,
+              Router.shortest_of_tree env trees.(Hashtbl.find slot src) ~src ~dst )
+          with
+          | Some rr, Some sp ->
+            Some
+              {
+                rr_risk = rr.Router.bit_risk_miles;
+                rr_miles = rr.Router.bit_miles;
+                sp_risk = sp.Router.bit_risk_miles;
+                sp_miles = sp.Router.bit_miles;
+              }
+          | _ -> None)
       pairs
   in
   if tel then begin
@@ -63,10 +87,9 @@ let accumulate routed ~diagonal_share =
   Array.iter
     (fun routes ->
       match routes with
-      | Some rr, Some sp
-        when sp.Router.bit_risk_miles > 0.0 && sp.Router.bit_miles > 0.0 ->
-        risk_sum := !risk_sum +. (rr.Router.bit_risk_miles /. sp.Router.bit_risk_miles);
-        dist_sum := !dist_sum +. (rr.Router.bit_miles /. sp.Router.bit_miles);
+      | Some c when c.sp_risk > 0.0 && c.sp_miles > 0.0 ->
+        risk_sum := !risk_sum +. (c.rr_risk /. c.sp_risk);
+        dist_sum := !dist_sum +. (c.rr_miles /. c.sp_miles);
         incr count
       | _ -> ())
     routed;
@@ -101,10 +124,9 @@ let weighted ?(pair_cap = default_cap) ?(seed = 0x4A71_05L) ?trees ~weight env =
       let w = weight src dst in
       if src <> dst && w > 0.0 then
         match routed.(i) with
-        | Some rr, Some sp
-          when sp.Router.bit_risk_miles > 0.0 && sp.Router.bit_miles > 0.0 ->
-          risk_sum := !risk_sum +. (w *. rr.Router.bit_risk_miles /. sp.Router.bit_risk_miles);
-          dist_sum := !dist_sum +. (w *. rr.Router.bit_miles /. sp.Router.bit_miles);
+        | Some c when c.sp_risk > 0.0 && c.sp_miles > 0.0 ->
+          risk_sum := !risk_sum +. (w *. c.rr_risk /. c.sp_risk);
+          dist_sum := !dist_sum +. (w *. c.rr_miles /. c.sp_miles);
           weight_sum := !weight_sum +. w;
           incr count
         | _ -> ())

@@ -1,25 +1,39 @@
-let components g =
-  let n = Graph.node_count g in
+(* Depth-first labelling over the CSR arrays with an explicit stack.
+   A node is labelled when it is pushed, so each node enters the stack
+   at most once and [n] slots suffice. *)
+let labels ~off ~tgt ~removed =
+  let n = Array.length off - 1 in
+  if Array.length removed <> n then
+    invalid_arg "Component.labels: removed mask length differs from node count";
   let label = Array.make n (-1) in
+  let stack = Array.make n 0 in
   let next = ref 0 in
-  let stack = Stack.create () in
   for start = 0 to n - 1 do
-    if label.(start) = -1 then begin
+    if label.(start) = -1 && not removed.(start) then begin
       let c = !next in
       incr next;
-      Stack.push start stack;
       label.(start) <- c;
-      while not (Stack.is_empty stack) do
-        let u = Stack.pop stack in
-        Graph.iter_neighbors g u (fun v ->
-            if label.(v) = -1 then begin
-              label.(v) <- c;
-              Stack.push v stack
-            end)
+      stack.(0) <- start;
+      let top = ref 1 in
+      while !top > 0 do
+        decr top;
+        let u = stack.(!top) in
+        for k = off.(u) to off.(u + 1) - 1 do
+          let v = tgt.(k) in
+          if label.(v) = -1 && not removed.(v) then begin
+            label.(v) <- c;
+            stack.(!top) <- v;
+            incr top
+          end
+        done
       done
     end
   done;
   label
+
+let components g =
+  let off, tgt = Graph.to_csr g in
+  labels ~off ~tgt ~removed:(Array.make (Graph.node_count g) false)
 
 let component_count g =
   let label = components g in

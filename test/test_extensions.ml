@@ -346,6 +346,115 @@ let test_outage_deterministic () =
   Alcotest.(check (float 1e-12)) "same seed same result" a.Outagesim.shortest_survival
     b.Outagesim.shortest_survival
 
+(* The strikes [Outagesim.run] and [Availability.run] draw from a
+   generator seeded with [seed]: both split the generator once for the
+   traffic pairs, then once for the strikes. *)
+let strikes ~seed ~count ?radius_miles env =
+  let rng = Rr_util.Prng.create seed in
+  ignore (Rr_util.Prng.split rng);
+  Outagesim.sample_scenarios ~rng:(Rr_util.Prng.split rng) ?radius_miles
+    ~kind:Rr_disaster.Event.Fema_hurricane ~count env
+
+(* [outagesim.labelings] counts one connectivity labelling per strike
+   that fails at least one PoP, in both analyses; quiet strikes take no
+   labelling. *)
+let test_outage_labelings_counted () =
+  let env = diamond ~extra:[ (0, 3) ] () in
+  let seed = 11L and count = 60 and radius_miles = 150.0 in
+  let failing =
+    List.length
+      (List.filter
+         (fun (s : Outagesim.scenario) -> s.Outagesim.failed_pops <> [])
+         (strikes ~seed ~count ~radius_miles env))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d strikes fail a PoP" failing count)
+    true
+    (failing > 0 && failing < count);
+  let labelings = Rr_obs.Counter.make "outagesim.labelings" in
+  let delta f =
+    Rr_obs.set_enabled true;
+    Fun.protect ~finally:(fun () -> Rr_obs.set_enabled false) @@ fun () ->
+    let before = Rr_obs.Counter.value labelings in
+    ignore (f (Rr_util.Prng.create seed));
+    Rr_obs.Counter.value labelings - before
+  in
+  Alcotest.(check int) "Outagesim.run" failing
+    (delta (fun rng ->
+         Outagesim.run ~rng ~scenario_count:count ~pair_cap:12 ~radius_miles env));
+  Alcotest.(check int) "Availability.run" failing
+    (delta (fun rng ->
+         Availability.run ~rng ~samples:count ~pair_cap:12 ~radius_miles env))
+
+(* On a disconnected network the reactive posture of a quiet strike
+   (no failed PoP) counts every pair as a survivor, including pairs
+   that had no path before the strike; a strike that fails any PoP
+   counts those pairs as lost. Components: Miami-Tampa,
+   Seattle-Portland and Denver alone. *)
+let test_outage_disconnected_quirk () =
+  let coords =
+    [|
+      coord 25.76 (-80.19); coord 27.95 (-82.46); coord 47.61 (-122.33);
+      coord 45.52 (-122.68); coord 39.74 (-104.99);
+    |]
+  in
+  let component = [| 0; 0; 1; 1; 2 |] in
+  let graph = Rr_graph.Graph.of_edges 5 [ (0, 1); (2, 3) ] in
+  let env =
+    Env.make ~graph ~coords ~impact:(Array.make 5 0.2)
+      ~historical:(Array.make 5 1e-5) ()
+  in
+  let seed = 3L and count = 80 and pair_cap = 20 in
+  let quiet =
+    Outagesim.run ~rng:(Rr_util.Prng.create seed) ~scenario_count:count
+      ~pair_cap ~radius_miles:0.001 env
+  in
+  Alcotest.(check int) "all 20 ordered pairs" 20 quiet.Outagesim.pairs;
+  Alcotest.(check (float 1e-12)) "quiet: 4 of 20 pairs have a static path" 0.2
+    quiet.Outagesim.shortest_survival;
+  Alcotest.(check (float 0.0)) "quiet: every pair survives reactively" 1.0
+    quiet.Outagesim.reactive_survival;
+  let radius_miles = 250.0 in
+  let scenarios = strikes ~seed ~count ~radius_miles env in
+  (* Per strike: quiet counts every pair; otherwise a live pair survives
+     exactly when its endpoints share a component (no component has a
+     third PoP a strike could cut). *)
+  let contribution (s : Outagesim.scenario) =
+    if s.Outagesim.failed_pops = [] then 1.0
+    else begin
+      let failed v = List.mem v s.Outagesim.failed_pops in
+      let live = ref 0 and ok = ref 0 in
+      for src = 0 to 4 do
+        for dst = 0 to 4 do
+          if src <> dst && not (failed src || failed dst) then begin
+            incr live;
+            if component.(src) = component.(dst) then incr ok
+          end
+        done
+      done;
+      if !live = 0 then 0.0 else float_of_int !ok /. float_of_int !live
+    end
+  in
+  let lost_disconnected =
+    List.exists
+      (fun (s : Outagesim.scenario) ->
+        s.Outagesim.failed_pops <> [] && contribution s < 1.0
+        && contribution s > 0.0)
+      scenarios
+  in
+  Alcotest.(check bool) "some failing strike leaves disconnected live pairs" true
+    lost_disconnected;
+  let expected =
+    List.fold_left (fun acc s -> acc +. contribution s) 0.0 scenarios
+    /. float_of_int count
+  in
+  let r =
+    Outagesim.run ~rng:(Rr_util.Prng.create seed) ~scenario_count:count
+      ~pair_cap ~radius_miles env
+  in
+  Alcotest.(check (float 0.0)) "reactive survival" expected
+    r.Outagesim.reactive_survival
+
 (* --- seasonality --- *)
 
 let test_event_months () =
@@ -486,6 +595,9 @@ let () =
           Alcotest.test_case "run bounds" `Quick test_outage_run_bounds;
           Alcotest.test_case "rejects bad radius" `Quick test_outage_rejects_bad_radius;
           Alcotest.test_case "deterministic" `Quick test_outage_deterministic;
+          Alcotest.test_case "labelings counted" `Quick test_outage_labelings_counted;
+          Alcotest.test_case "disconnected network" `Quick
+            test_outage_disconnected_quirk;
         ] );
       ( "seasonality",
         [

@@ -241,6 +241,21 @@ let test_components_connected () =
   let labels = Component.components g in
   Alcotest.(check (array int)) "all zero" [| 0; 0; 0 |] labels
 
+let test_labels_removed () =
+  (* A path 0-1-2-3 and an edge 4-5: removing 1 splits the path, and
+     the surviving components are numbered by their smallest node. *)
+  let g = Graph.of_edges 6 [ (0, 1); (1, 2); (2, 3); (4, 5) ] in
+  let off, tgt = Graph.to_csr g in
+  let removed = [| false; true; false; false; false; false |] in
+  Alcotest.(check (array int)) "labels" [| 0; -1; 1; 1; 2; 2 |]
+    (Component.labels ~off ~tgt ~removed);
+  Alcotest.(check (array int)) "all removed" [| -1; -1; -1; -1; -1; -1 |]
+    (Component.labels ~off ~tgt ~removed:(Array.make 6 true));
+  Alcotest.check_raises "mask length"
+    (Invalid_argument
+       "Component.labels: removed mask length differs from node count")
+    (fun () -> ignore (Component.labels ~off ~tgt ~removed:(Array.make 5 false)))
+
 let test_components_empty () =
   Alcotest.(check bool) "empty graph connected" true
     (Component.is_connected (Graph.create 0))
@@ -706,6 +721,7 @@ let () =
           Alcotest.test_case "components" `Quick test_components;
           Alcotest.test_case "connected" `Quick test_components_connected;
           Alcotest.test_case "empty" `Quick test_components_empty;
+          Alcotest.test_case "labels with removed nodes" `Quick test_labels_removed;
         ] );
       ( "spanner",
         [

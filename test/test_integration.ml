@@ -228,6 +228,292 @@ let test_fig5_output () =
   Alcotest.(check bool) "mentions Irene" true
     (contains "IRENE" out || contains "Irene" out)
 
+(* --- strike analyses against the per-pair reference ---
+
+   Outagesim and Availability answer the reactive posture with one
+   connectivity labelling per strike. The reference below is the
+   per-pair search they ran before: every arc into a failed PoP weighs
+   infinity, so the search never settles one, and a failed source finds
+   nothing. Around it, the two analyses exactly as they were, run
+   sequentially. *)
+
+let masked_search_survives env ~failed ~src ~dst =
+  let n = Env.node_count env and off = Env.arc_off env in
+  let tgt = Env.arc_tgt env and miles = Env.arc_miles env in
+  let weight k = if failed.(tgt.(k)) then infinity else miles.(k) in
+  (not failed.(src))
+  && Rr_graph.Dijkstra.single_pair_flat ~n ~off ~tgt ~weight ~src ~dst <> None
+
+let failed_mask env (s : Outagesim.scenario) =
+  let failed = Array.make (Env.node_count env) false in
+  List.iter (fun v -> failed.(v) <- true) s.Outagesim.failed_pops;
+  failed
+
+let reference_outagesim ~seed ~scenario_count ~pair_cap ~radius_miles ~kind env
+    =
+  let rng = Rr_util.Prng.create seed in
+  let n = Env.node_count env in
+  let pairs = Rr_util.Sampling.pair_indices (Rr_util.Prng.split rng) ~n ~cap:pair_cap in
+  let static =
+    Array.map
+      (fun (src, dst) ->
+        (src, dst, Router.shortest env ~src ~dst, Router.riskroute env ~src ~dst))
+      pairs
+  in
+  let scenarios =
+    Outagesim.sample_scenarios ~rng:(Rr_util.Prng.split rng) ~radius_miles ~kind
+      ~count:scenario_count env
+  in
+  let contribution (s : Outagesim.scenario) =
+    let failed = failed_mask env s in
+    let path_alive path = List.for_all (fun v -> not failed.(v)) path in
+    let alive = function
+      | Some (r : Router.route) -> path_alive r.Router.path
+      | None -> false
+    in
+    let live = ref 0 and s_ok = ref 0 and r_ok = ref 0 and re_ok = ref 0 in
+    let endpoint_dead = ref 0 in
+    Array.iter
+      (fun (src, dst, shortest, riskroute) ->
+        if failed.(src) || failed.(dst) then incr endpoint_dead
+        else begin
+          incr live;
+          if alive shortest then incr s_ok;
+          if alive riskroute then incr r_ok;
+          if
+            s.Outagesim.failed_pops = []
+            || masked_search_survives env ~failed ~src ~dst
+          then incr re_ok
+        end)
+      static;
+    let total = Array.length static in
+    if total = 0 then (0.0, 0.0, 0.0, 0.0)
+    else begin
+      let endpoint = float_of_int !endpoint_dead /. float_of_int total in
+      if !live = 0 then (0.0, 0.0, 0.0, endpoint)
+      else
+        let l = float_of_int !live in
+        ( float_of_int !s_ok /. l,
+          float_of_int !r_ok /. l,
+          float_of_int !re_ok /. l,
+          endpoint )
+    end
+  in
+  let s = ref 0.0 and r = ref 0.0 and re = ref 0.0 and e = ref 0.0 in
+  List.iter
+    (fun scenario ->
+      let a, b, c, d = contribution scenario in
+      s := !s +. a;
+      r := !r +. b;
+      re := !re +. c;
+      e := !e +. d)
+    scenarios;
+  let count = float_of_int (List.length scenarios) in
+  {
+    Outagesim.scenarios = List.length scenarios;
+    pairs = Array.length pairs;
+    shortest_survival = !s /. count;
+    riskroute_survival = !r /. count;
+    reactive_survival = !re /. count;
+    endpoint_loss = !e /. count;
+  }
+
+let reference_availability ~seed ~samples ~pair_cap ~radius_miles ~kind env =
+  let rng = Rr_util.Prng.create seed in
+  let n = Env.node_count env in
+  let pairs = Rr_util.Sampling.pair_indices (Rr_util.Prng.split rng) ~n ~cap:pair_cap in
+  let static =
+    Array.map
+      (fun (src, dst) ->
+        (src, dst, Router.shortest env ~src ~dst, Router.riskroute env ~src ~dst))
+      pairs
+  in
+  let scenarios =
+    Outagesim.sample_scenarios ~rng:(Rr_util.Prng.split rng) ~radius_miles ~kind
+      ~count:samples env
+  in
+  let np = Array.length static in
+  let down_shortest = Array.make np 0
+  and down_riskroute = Array.make np 0
+  and down_reactive = Array.make np 0 in
+  List.iter
+    (fun (s : Outagesim.scenario) ->
+      if s.Outagesim.failed_pops <> [] then begin
+        let failed = failed_mask env s in
+        let path_alive path = List.for_all (fun v -> not failed.(v)) path in
+        Array.iteri
+          (fun i (src, dst, shortest, riskroute) ->
+            let endpoint_dead = failed.(src) || failed.(dst) in
+            let static_down = function
+              | _ when endpoint_dead -> true
+              | Some (r : Router.route) -> not (path_alive r.Router.path)
+              | None -> true
+            in
+            let bump a = a.(i) <- a.(i) + 1 in
+            if static_down shortest then bump down_shortest;
+            if static_down riskroute then bump down_riskroute;
+            if endpoint_dead || not (masked_search_survives env ~failed ~src ~dst)
+            then bump down_reactive)
+          static
+      end)
+    scenarios;
+  let events_per_year =
+    float_of_int (Rr_disaster.Event.paper_count kind) /. 41.0
+  in
+  let availability down =
+    let mean_p =
+      Rr_util.Arrayx.fmean
+        (Array.map (fun d -> float_of_int d /. float_of_int samples) down)
+    in
+    let downtime_hours = events_per_year *. mean_p *. 12.0 in
+    Float.max 0.0 (1.0 -. (downtime_hours /. (365.25 *. 24.0)))
+  in
+  {
+    Availability.pairs = np;
+    events_per_year;
+    mttr_hours = 12.0;
+    shortest = availability down_shortest;
+    riskroute = availability down_riskroute;
+    reactive = availability down_reactive;
+  }
+
+let with_domains k f =
+  let old = Rr_util.Parallel.domain_count () in
+  Rr_util.Parallel.set_domain_count k;
+  Fun.protect ~finally:(fun () -> Rr_util.Parallel.set_domain_count old) f
+
+let bits = Int64.bits_of_float
+
+let outagesim_fields (r : Outagesim.result) =
+  ( r.Outagesim.scenarios,
+    r.Outagesim.pairs,
+    List.map bits
+      [
+        r.Outagesim.shortest_survival; r.Outagesim.riskroute_survival;
+        r.Outagesim.reactive_survival; r.Outagesim.endpoint_loss;
+      ] )
+
+let availability_fields (a : Availability.result) =
+  ( a.Availability.pairs,
+    List.map bits
+      [
+        a.Availability.events_per_year; a.Availability.mttr_hours;
+        a.Availability.shortest; a.Availability.riskroute;
+        a.Availability.reactive;
+      ] )
+
+(* The seven Tier-1s and three regionals, every strike kind, radii from
+   a single metro to half the continent, pools 1/2/4: both analyses
+   equal the per-pair reference on every field, floats bitwise. *)
+let test_strike_analyses_match_reference () =
+  let nets =
+    List.map (fun n -> n.Rr_topology.Net.name) (zoo ()).Rr_topology.Zoo.tier1s
+    @ [ "Abilene"; "Epoch"; "Iris" ]
+  in
+  let case = ref 0 in
+  List.iter
+    (fun name ->
+      let env = Env.of_net (net name) in
+      List.iter
+        (fun kind ->
+          List.iter
+            (fun radius_miles ->
+              incr case;
+              let seed = Int64.of_int (0x5171 + !case) in
+              let label =
+                Printf.sprintf "%s %s %.0f mi" name
+                  (Rr_disaster.Event.kind_name kind)
+                  radius_miles
+              in
+              let sim =
+                outagesim_fields
+                  (reference_outagesim ~seed ~scenario_count:30 ~pair_cap:40
+                     ~radius_miles ~kind env)
+              in
+              let avail =
+                availability_fields
+                  (reference_availability ~seed ~samples:30 ~pair_cap:30
+                     ~radius_miles ~kind env)
+              in
+              List.iter
+                (fun domains ->
+                  with_domains domains (fun () ->
+                      let rng () = Rr_util.Prng.create seed in
+                      if
+                        outagesim_fields
+                          (Outagesim.run ~rng:(rng ()) ~scenario_count:30
+                             ~pair_cap:40 ~radius_miles ~kind env)
+                        <> sim
+                      then
+                        Alcotest.failf "Outagesim.run differs: %s, %d domains"
+                          label domains;
+                      if
+                        availability_fields
+                          (Availability.run ~rng:(rng ()) ~samples:30
+                             ~pair_cap:30 ~radius_miles ~kind env)
+                        <> avail
+                      then
+                        Alcotest.failf "Availability.run differs: %s, %d domains"
+                          label domains))
+                [ 1; 2; 4 ])
+            [ 20.0; 80.0; 250.0; 600.0 ])
+        Rr_disaster.Event.all_kinds)
+    nets;
+  Alcotest.(check int) "cases" 200 !case
+
+(* The candidate scan runs its rows on the pool. Against the sequential
+   double loop it replaced (same pairs consed in the same order, so the
+   stable sort keeps ties and the 400-candidate cut in place), and
+   Level3's five greedy picks, tier1-plan's workload, bitwise at pools
+   1/2/4. *)
+let reference_candidates env =
+  let graph = Env.graph env in
+  let n = Env.node_count env in
+  let off = Env.arc_off env and tgt = Env.arc_tgt env in
+  let miles = Env.arc_miles env in
+  let scored = ref [] in
+  for u = 0 to n - 1 do
+    let dist =
+      (Rr_graph.Dijkstra.single_source_flat ~n ~off ~tgt
+         ~weight:(fun k -> miles.(k))
+         ~src:u)
+        .Rr_graph.Dijkstra.dist
+    in
+    for v = u + 1 to n - 1 do
+      if not (Rr_graph.Graph.has_edge graph u v) then begin
+        let direct = Env.link_miles env u v in
+        let current = dist.(v) in
+        if current < infinity && direct < 0.5 *. current then
+          scored := (current -. direct, (u, v)) :: !scored
+      end
+    done
+  done;
+  List.sort (fun (a, _) (b, _) -> Float.compare b a) !scored
+  |> Rr_util.Listx.take 400
+  |> List.map snd
+
+let test_augment_pool_sizes () =
+  let env = Env.of_net (net "Level3") in
+  let reference = reference_candidates env in
+  let picks () =
+    List.map
+      (fun (p : Augment.pick) ->
+        (p.Augment.u, p.Augment.v, bits p.Augment.total_after, bits p.Augment.fraction))
+      (Augment.greedy ~k:5 env)
+  in
+  let first = with_domains 1 picks in
+  Alcotest.(check int) "five picks" 5 (List.length first);
+  List.iter
+    (fun domains ->
+      with_domains domains (fun () ->
+          Alcotest.(check (list (pair int int)))
+            (Printf.sprintf "candidates, %d domains" domains)
+            reference (Augment.candidates env);
+          Alcotest.(check bool)
+            (Printf.sprintf "picks bitwise, %d domains" domains)
+            true (picks () = first)))
+    [ 1; 2; 4 ]
+
 let () =
   Alcotest.run "integration"
     [
@@ -262,7 +548,15 @@ let () =
           Alcotest.test_case "peer advisor" `Slow test_peer_advisor_improves;
         ] );
       ( "augment",
-        [ Alcotest.test_case "tier-1 greedy" `Slow test_augment_tier1 ] );
+        [
+          Alcotest.test_case "tier-1 greedy" `Slow test_augment_tier1;
+          Alcotest.test_case "Level3 pool sizes" `Slow test_augment_pool_sizes;
+        ] );
+      ( "strikes",
+        [
+          Alcotest.test_case "per-pair reference" `Slow
+            test_strike_analyses_match_reference;
+        ] );
       ( "registry",
         [ Alcotest.test_case "report registry" `Quick test_report_registry ] );
     ]

@@ -226,10 +226,10 @@ let backup_repairs_valid =
 
 (* Removing nodes and links through infinite arc weights must route
    exactly like the graph with them deleted: Backup's masked search
-   against Router on the pruned graph (same path, bitwise-equal cost),
-   and Outagesim's reactive check against connectivity once the failed
-   PoPs' edges are gone. A banned link that is not in the graph is
-   ignored. *)
+   against Router on the pruned graph (same path, bitwise-equal cost).
+   A banned link that is not in the graph is ignored. The reactive
+   (connectivity) side of node removal is [strike_labels_match_masked_search]
+   below. *)
 let masks_match_pruned_graph =
   QCheck.Test.make ~name:"masked searches equal searches on the pruned graph"
     ~count:300
@@ -266,11 +266,8 @@ let masks_match_pruned_graph =
           List.iter (Rr_graph.Graph.remove_edge pruned v)
             (Rr_graph.Graph.neighbors graph v))
         banned_nodes;
-      let label = Rr_graph.Component.components pruned in
       List.iter (fun (u, v) -> Rr_graph.Graph.remove_edge pruned u v) banned_links;
       let pruned_env = Env.with_graph env pruned in
-      let failed = Array.make n false in
-      List.iter (fun v -> failed.(v) <- true) banned_nodes;
       let same_route a b =
         match (a, b) with
         | None, None -> true
@@ -286,10 +283,65 @@ let masks_match_pruned_graph =
           same_route
             (Backup.route_avoiding env ~src ~dst
                ~banned_links:(absent :: banned_links) ~banned_nodes)
-            (Router.riskroute pruned_env ~src ~dst)
-          && Outagesim.reactive_survives env ~failed ~src ~dst
-             = (label.(src) = label.(dst)))
+            (Router.riskroute pruned_env ~src ~dst))
         (pairs @ List.map (fun (u, v) -> (v, u)) pairs))
+
+(* The strike labelling behind Outagesim's and Availability's reactive
+   posture, on seeded removed sets: [-1] exactly on removed nodes, dense
+   labels from 0 numbered in smallest-node order, and two nodes share a
+   label [>= 0] exactly when the per-pair search those analyses ran
+   before (every arc into a removed node weighs infinity, a removed
+   source finds nothing) reaches one from the other. The labels also
+   match the components of the graph with the removed nodes' edges
+   deleted. *)
+let strike_labels_match_masked_search =
+  QCheck.Test.make ~name:"strike labels equal masked searches" ~count:300
+    (QCheck.pair arb_env QCheck.small_nat)
+    (fun (spec, seed) ->
+      let env = build_env spec in
+      let n = Env.node_count env in
+      let graph = Env.graph env in
+      let rng = Rr_util.Prng.create (Int64.of_int (seed + 1)) in
+      let removed = Array.init n (fun _ -> Rr_util.Prng.int rng 4 = 0) in
+      let off = Env.arc_off env and tgt = Env.arc_tgt env in
+      let miles = Env.arc_miles env in
+      let label = Rr_graph.Component.labels ~off ~tgt ~removed in
+      let masked_path src dst =
+        let weight k = if removed.(tgt.(k)) then infinity else miles.(k) in
+        (not removed.(src))
+        && Rr_graph.Dijkstra.single_pair_flat ~n ~off ~tgt ~weight ~src ~dst <> None
+      in
+      let pruned = Rr_graph.Graph.copy graph in
+      Array.iteri
+        (fun v r ->
+          if r then
+            List.iter (Rr_graph.Graph.remove_edge pruned v)
+              (Rr_graph.Graph.neighbors graph v))
+        removed;
+      let pruned_label = Rr_graph.Component.components pruned in
+      let dense_in_node_order =
+        let next = ref 0 in
+        Array.for_all
+          (fun l ->
+            if l < 0 || l < !next then true
+            else if l = !next then (incr next; true)
+            else false)
+          label
+      in
+      let nodes = List.init n Fun.id in
+      label = Outagesim.strike_labels env ~failed:removed
+      && Array.for_all2 (fun l r -> (l = -1) = r) label removed
+      && dense_in_node_order
+      && List.for_all
+           (fun src ->
+             List.for_all
+               (fun dst ->
+                 let same = label.(src) = label.(dst) && label.(src) >= 0 in
+                 same = masked_path src dst
+                 && (removed.(src) || removed.(dst)
+                    || same = (pruned_label.(src) = pruned_label.(dst))))
+               nodes)
+           nodes)
 
 let ospf_zero_risk_high_fidelity =
   QCheck.Test.make ~name:"zero-risk OSPF export routes like shortest path"
@@ -360,7 +412,8 @@ let () =
         [
           q metric_hop_additivity; q ratios_bounded; q riskroute_distance_dominates;
           q pareto_frontier_truly_optimal; q backup_repairs_valid;
-          q masks_match_pruned_graph; q ospf_zero_risk_high_fidelity;
+          q masks_match_pruned_graph;
+          q strike_labels_match_masked_search; q ospf_zero_risk_high_fidelity;
         ] );
       ( "sampling", [ q pair_indices_complete_when_uncapped ] );
       ( "forecast", [ q timestamp_format; q union_scope_monotone ] );
