@@ -27,45 +27,60 @@ let run ?rng ?(samples = 400) ?(pair_cap = 150) ?(mttr_hours = 12.0)
   let rng = match rng with Some r -> r | None -> Prng.create 0xA7A1_AB1EL in
   let n = Env.node_count env in
   let pairs = Sampling.pair_indices (Prng.split rng) ~n ~cap:pair_cap in
+  (* Static paths installed before any disaster, routed on the pool. *)
   let static =
-    Array.map
+    Parallel.map_array
       (fun (src, dst) ->
         (src, dst, Router.shortest env ~src ~dst, Router.riskroute env ~src ~dst))
       pairs
   in
   let scenarios =
-    Outagesim.sample_scenarios ~rng:(Prng.split rng) ~radius_miles ~kind
-      ~count:samples env
+    Array.of_list
+      (Outagesim.sample_scenarios ~rng:(Prng.split rng) ~radius_miles ~kind
+         ~count:samples env)
+  in
+  (* Strikes are evaluated independently on the pool, each returning
+     which postures it takes down per pair (bit 0 shortest, bit 1
+     RiskRoute, bit 2 reactive; empty for a strike that fails no PoP).
+     The integer tallies are summed in strike order. *)
+  let downs =
+    Parallel.map_array
+      (fun (s : Outagesim.scenario) ->
+        if s.Outagesim.failed_pops = [] then [||]
+        else begin
+          let failed = Array.make n false in
+          List.iter (fun v -> failed.(v) <- true) s.Outagesim.failed_pops;
+          let label = Outagesim.strike_labels env ~failed in
+          let path_alive path = List.for_all (fun v -> not failed.(v)) path in
+          Array.map
+            (fun (src, dst, shortest, riskroute) ->
+              let endpoint_dead = failed.(src) || failed.(dst) in
+              let static_down route =
+                endpoint_dead
+                ||
+                match route with
+                | Some (r : Router.route) -> not (path_alive r.Router.path)
+                | None -> true
+              in
+              let bit b flag = if flag then b else 0 in
+              bit 1 (static_down shortest)
+              lor bit 2 (static_down riskroute)
+              lor bit 4 (endpoint_dead || label.(src) <> label.(dst)))
+            static
+        end)
+      scenarios
   in
   (* Per pair, count strikes that take each posture down. *)
   let np = Array.length static in
   let down_shortest = Array.make np 0
   and down_riskroute = Array.make np 0
   and down_reactive = Array.make np 0 in
-  List.iter
-    (fun (s : Outagesim.scenario) ->
-      if s.Outagesim.failed_pops <> [] then begin
-        let failed = Array.make n false in
-        List.iter (fun v -> failed.(v) <- true) s.Outagesim.failed_pops;
-        let label = Outagesim.strike_labels env ~failed in
-        let path_alive path = List.for_all (fun v -> not failed.(v)) path in
-        Array.iteri
-          (fun i (src, dst, shortest, riskroute) ->
-            let endpoint_dead = failed.(src) || failed.(dst) in
-            let static_down route =
-              endpoint_dead
-              ||
-              match route with
-              | Some (r : Router.route) -> not (path_alive r.Router.path)
-              | None -> true
-            in
-            if static_down shortest then down_shortest.(i) <- down_shortest.(i) + 1;
-            if static_down riskroute then down_riskroute.(i) <- down_riskroute.(i) + 1;
-            let reactive_down = endpoint_dead || label.(src) <> label.(dst) in
-            if reactive_down then down_reactive.(i) <- down_reactive.(i) + 1)
-          static
-      end)
-    scenarios;
+  Array.iter
+    (Array.iteri (fun i d ->
+         down_shortest.(i) <- down_shortest.(i) + (d land 1);
+         down_riskroute.(i) <- down_riskroute.(i) + ((d lsr 1) land 1);
+         down_reactive.(i) <- down_reactive.(i) + ((d lsr 2) land 1)))
+    downs;
   let events_per_year =
     float_of_int (Rr_disaster.Event.paper_count kind) /. catalogue_years
   in

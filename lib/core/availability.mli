@@ -33,6 +33,9 @@ val run :
     failures count against every posture. The reactive posture takes
     one {!Outagesim.strike_labels} labelling per strike that fails a
     PoP and one label comparison per pair, bitwise equal to a masked
-    single-pair search per (strike, pair). Raises [Invalid_argument]
+    single-pair search per (strike, pair). Static routes and strikes
+    are evaluated on the {!Rr_util.Parallel} pool and tallied in strike
+    order, so the result is bit-identical at any pool size. Raises
+    [Invalid_argument]
     when [mttr_hours] or [radius_miles] is not a positive finite
     number. *)

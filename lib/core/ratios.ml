@@ -24,41 +24,51 @@ type costs = {
   sp_miles : float;
 }
 
-(* Route every sampled pair, grouping pairs by source so one geographic
-   shortest-path tree serves all destinations sharing that source
-   (RiskRoute paths still need one run per pair, since [kappa] depends
-   on both endpoints). Per-pair results are computed independently on
-   the domain pool and consumed in pair order, so downstream
-   accumulation is bit-identical at any pool size. [None] when
-   [src = dst] or either route is missing. *)
+(* Route every sampled pair with one geographic shortest-path tree per
+   endpoint. The source's tree answers the shortest half of every pair
+   sharing that source. RiskRoute still needs one search per pair,
+   since [kappa] depends on both endpoints, but the destination's tree
+   is that search's exact miles-to-go, so it runs as A* toward the
+   destination. Per-pair results are computed independently on the
+   domain pool and consumed in pair order, so downstream accumulation
+   is bit-identical at any pool size. [None] when [src = dst] or
+   either route is missing. *)
 let pair_routes ?trees env pairs =
  Rr_obs.with_span "ratios.pair_routes" @@ fun () ->
   let tel = Rr_obs.enabled () in
   let t0 = if tel then Rr_obs.Clock.monotonic () else 0.0 in
-  let slot = Hashtbl.create 64 in
-  let sources = ref [] in
+  (* slot.(v): index of v's tree in [endpoints], -1 when v is none *)
+  let slot = Array.make (Env.node_count env) (-1) in
+  let endpoints = ref [] and count = ref 0 in
+  let add v =
+    if slot.(v) < 0 then begin
+      slot.(v) <- !count;
+      incr count;
+      endpoints := v :: !endpoints
+    end
+  in
   Array.iter
     (fun (src, dst) ->
-      if src <> dst && not (Hashtbl.mem slot src) then begin
-        Hashtbl.add slot src (Hashtbl.length slot);
-        sources := src :: !sources
+      if src <> dst then begin
+        add src;
+        add dst
       end)
     pairs;
-  let sources = Array.of_list (List.rev !sources) in
+  let endpoints = Array.of_list (List.rev !endpoints) in
   let tree_for =
     match trees with
     | Some f -> f
     | None -> fun src -> Router.shortest_tree env ~src
   in
-  let trees = Parallel.map_array tree_for sources in
+  let trees = Parallel.map_array tree_for endpoints in
   let routed =
     Parallel.map_array
       (fun (src, dst) ->
         if src = dst then None
         else
           match
-            ( Router.riskroute env ~src ~dst,
-              Router.shortest_of_tree env trees.(Hashtbl.find slot src) ~src ~dst )
+            ( Router.riskroute ~toward:trees.(slot.(dst)) env ~src ~dst,
+              Router.shortest_of_tree env trees.(slot.(src)) ~src ~dst )
           with
           | Some rr, Some sp ->
             Some

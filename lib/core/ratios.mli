@@ -21,11 +21,15 @@ val intradomain :
   ?pair_cap:int -> ?seed:int64 -> ?trees:(int -> Rr_graph.Dijkstra.tree) ->
   Env.t -> result
 (** Eqs. 5-6 over all ordered PoP pairs of one network (capped to
-    [pair_cap], default 20,000). [trees], when given, supplies the
-    geographic shortest-path tree per source in place of
-    {!Router.shortest_tree} — callers with a cache (see
-    [Rr_engine.Context.dist_trees]) avoid recomputing identical trees;
-    supplied trees must be bitwise-identical to the defaults. *)
+    [pair_cap], default 20,000). Each sweep takes one geographic
+    shortest-path tree per distinct endpoint (source or destination of
+    a sampled pair): a source's tree answers the shortest half of its
+    pairs, and a destination's tree steers each RiskRoute search toward
+    it ({!Router.riskroute}'s [toward]). [trees], when given, supplies
+    those trees in place of {!Router.shortest_tree} — callers with a
+    cache (see [Rr_engine.Context.dist_trees]) avoid recomputing
+    identical trees; supplied trees must be bitwise-identical to the
+    defaults, since they serve both halves. *)
 
 val between :
   ?pair_cap:int -> ?seed:int64 -> ?trees:(int -> Rr_graph.Dijkstra.tree) ->

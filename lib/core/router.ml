@@ -12,13 +12,15 @@ let route_of_path env path =
   }
 
 (* Single-pair queries go through the environment's query facade, which
-   picks plain or ALT per graph size while returning answers
-   bit-identical to [Dijkstra.single_pair_flat]. *)
-let riskroute env ~src ~dst =
+   picks plain or ALT per graph size (or A* under the destination's
+   tree when one is given) while returning answers bit-identical to
+   [Dijkstra.single_pair_flat]. *)
+let riskroute ?toward env ~src ~dst =
   let kappa = Env.kappa env src dst in
   let miles = Env.arc_miles env and risk = Env.arc_risk env in
   let weight k = Array.unsafe_get miles k +. (kappa *. Array.unsafe_get risk k) in
-  match Rr_graph.Query.run (Env.query env) ~weight ~src ~dst with
+  let toward = Option.map (fun tr -> tr.Rr_graph.Dijkstra.dist) toward in
+  match Rr_graph.Query.run ?toward (Env.query env) ~weight ~src ~dst with
   | None -> None
   | Some (cost, path) ->
     Some { path; bit_miles = Metric.bit_miles env path; bit_risk_miles = cost }

@@ -11,8 +11,15 @@ type route = {
   bit_risk_miles : float;
 }
 
-val riskroute : Env.t -> src:int -> dst:int -> route option
-(** Minimum bit-risk-miles route; [None] when disconnected. *)
+val riskroute :
+  ?toward:Rr_graph.Dijkstra.tree -> Env.t -> src:int -> dst:int -> route option
+(** Minimum bit-risk-miles route; [None] when disconnected. [toward],
+    when given, must be the {!shortest_tree} rooted at [dst] (or a tree
+    bitwise equal to it, such as a cached one): the search then runs as
+    A* toward [dst] under its exact miles-to-go, settling fewer nodes
+    for the same route (see {!Rr_graph.Query.run}). Raises
+    [Invalid_argument] when its [dist] does not have one entry per PoP
+    or is not [0.0] at [dst]. *)
 
 val shortest : Env.t -> src:int -> dst:int -> route option
 (** Geographic shortest path (the paper's stand-in for production
@@ -24,9 +31,10 @@ val route_of_path : Env.t -> int list -> route
 
 val shortest_tree : Env.t -> src:int -> Rr_graph.Dijkstra.tree
 (** Full geographic shortest-path tree from one source. One tree serves
-    every destination: the pair sweeps in {!Ratios} group sampled pairs
-    by source so a single Dijkstra run replaces hundreds of
-    {!shortest} calls. *)
+    every destination: the pair sweeps in {!Ratios} fetch one per
+    endpoint, so a single Dijkstra run replaces hundreds of
+    {!shortest} calls, and the same tree, rooted at a destination, is
+    {!riskroute}'s [toward]. *)
 
 val shortest_of_tree :
   Env.t -> Rr_graph.Dijkstra.tree -> src:int -> dst:int -> route option

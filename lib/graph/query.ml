@@ -7,16 +7,20 @@ open Rr_util
    - Plain: the [Dijkstra] kernel's loop verbatim (same push order,
      same strict [nd < dist] test), so costs, paths and equal-cost
      tie-breaks are bit-identical to [Dijkstra.single_pair_flat].
-   - Alt: A* with landmark lower bounds (goal-directed). Landmarks are
-     pure bit-miles distance trees, which stay admissible for every
-     RiskRoute objective because risk only adds non-negative weight on
-     top of miles: w(k) >= miles(k) implies the triangle-inequality
-     bound still underestimates. Raw labels are the same left-folds
-     Plain computes, so settled distances are bit-identical.
+   - Alt: A* (goal-directed) under one of two potentials. Landmark
+     lower bounds come from pure bit-miles distance trees, which stay
+     admissible for every RiskRoute objective because risk only adds
+     non-negative weight on top of miles: w(k) >= miles(k) implies the
+     triangle-inequality bound still underestimates. A destination
+     tree is the exact bit-miles distance to dst; with mirrored arc
+     miles a Dijkstra tree satisfies pi(u) <= pi(v) +. miles(v,u), so
+     it is consistent under every dominating weight. Raw labels are the
+     same left-folds Plain computes, so settled distances are
+     bit-identical.
 
    The two loops stay separate: Plain run as Alt under a zero potential
-   answers the same but timed slower on the Tier-1 analyses, which run
-   Plain only.
+   answers the same but timed slower on the Tier-1 analyses' searches
+   that have no destination tree.
 
    Workspaces live in domain-local storage: the router is called from
    inside [Parallel.map_array] sweeps, so each domain keeps its own
@@ -45,6 +49,7 @@ let c_plain_runs = Rr_obs.Counter.make "query.plain.runs"
 let c_plain_settled = Rr_obs.Counter.make "query.plain.settled"
 let c_alt_runs = Rr_obs.Counter.make "query.alt.runs"
 let c_alt_settled = Rr_obs.Counter.make "query.alt.settled"
+let c_alt_toward = Rr_obs.Counter.make "query.alt.toward"
 let c_preps = Rr_obs.Counter.make "query.landmark_preps"
 
 let default_landmark_count = 16
@@ -373,13 +378,27 @@ let plain_threshold = 1024
 
 let choose t = if t.n <= plain_threshold then Plain else Alt
 
-let run_stats ?runner t ~weight ~src ~dst =
+(* A destination tree is the exact bit-miles distance to [dst], which
+   bounds every dominating weight from below at no setup cost, so a
+   query that brings one is served by the Alt loop at any size. *)
+let run_stats ?runner ?toward t ~weight ~src ~dst =
   if src < 0 || src >= t.n then invalid_arg "Dijkstra: source out of range";
   if dst < 0 || dst >= t.n then
     invalid_arg "Dijkstra: destination out of range";
+  (match toward with
+  | Some a when Array.length a <> t.n ->
+    invalid_arg "Query.run: toward has the wrong length"
+  | Some a when a.(dst) <> 0.0 ->
+    invalid_arg "Query.run: toward is not rooted at dst"
+  | _ -> ());
   if src = dst then (Some (0.0, [ src ]), Plain, 0)
   else begin
-    let r = match runner with Some r -> r | None -> choose t in
+    let r =
+      match (runner, toward) with
+      | Some r, _ -> r
+      | None, Some _ -> Alt
+      | None, None -> choose t
+    in
     match r with
     | Plain ->
       let result, settles = run_plain t ~weight ~src ~dst in
@@ -387,11 +406,16 @@ let run_stats ?runner t ~weight ~src ~dst =
       Rr_obs.Counter.add c_plain_settled settles;
       (result, Plain, settles)
     | Alt ->
-      if not (prepared t) then prepare t;
       let pot =
-        match potential t ~dst with
-        | Some f -> f
-        | None -> fun _ -> 0.0 (* unreachable: prepare always succeeds *)
+        match toward with
+        | Some a ->
+          Rr_obs.Counter.incr c_alt_toward;
+          fun v -> Array.unsafe_get a v
+        | None -> (
+          if not (prepared t) then prepare t;
+          match potential t ~dst with
+          | Some f -> f
+          | None -> fun _ -> 0.0 (* unreachable: prepare always succeeds *))
       in
       let result, settles = run_alt t ~weight ~pot ~src ~dst in
       Rr_obs.Counter.incr c_alt_runs;
@@ -399,8 +423,8 @@ let run_stats ?runner t ~weight ~src ~dst =
       (result, Alt, settles)
   end
 
-let run ?runner t ~weight ~src ~dst =
-  let result, _, _ = run_stats ?runner t ~weight ~src ~dst in
+let run ?runner ?toward t ~weight ~src ~dst =
+  let result, _, _ = run_stats ?runner ?toward t ~weight ~src ~dst in
   result
 
 let runner_name = function Plain -> "plain" | Alt -> "alt"

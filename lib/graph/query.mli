@@ -14,10 +14,11 @@
     available:
 
     - {e plain} — the {!Dijkstra.single_pair_flat} kernel;
-    - {e alt} — A* with landmark lower bounds (ALT): ~16 landmarks
-      chosen by farthest-point selection over bit-miles, their full
-      distance trees reused across every weight function on the same
-      geometry.
+    - {e alt} — A* under one of two potentials: landmark lower bounds
+      (ALT: ~16 landmarks chosen by farthest-point selection over
+      bit-miles, their full distance trees reused across every weight
+      function on the same geometry), or the destination's own
+      bit-miles tree when the caller passes one ([?toward]).
 
     Both return bit-identical (cost, path) answers: costs are the same
     left-fold of arc weights the plain kernel accumulates, and
@@ -78,11 +79,13 @@ val potential : t -> dst:int -> (int -> float) option
     use it as an A* heuristic. *)
 
 val choose : t -> runner
-(** Selection policy: plain up to 1024 nodes, ALT above (preparing the
-    landmarks on demand, through the tree provider when one is set). *)
+(** Selection policy for queries without a [toward] tree: plain up to
+    1024 nodes, ALT above (preparing the landmarks on demand, through
+    the tree provider when one is set). *)
 
 val run :
   ?runner:runner ->
+  ?toward:float array ->
   t ->
   weight:(int -> float) ->
   src:int ->
@@ -92,10 +95,24 @@ val run :
     {!Dijkstra.single_pair_flat} with the same arguments. [weight] must
     satisfy [weight k >= arc_miles k] for every arc ([infinity] removes
     the arc). [runner] overrides {!choose}. Raises [Invalid_argument]
-    on out-of-range endpoints or a negative arc weight. *)
+    on out-of-range endpoints or a negative arc weight.
+
+    [toward], when given, must be the [dist] array of a bit-miles
+    distance tree rooted at [dst] over this geometry, bit-identical to
+    {!Dijkstra.single_source_flat} under [arc_miles] from [dst]; the
+    geometry's arcs must carry mirrored miles (both directions of an
+    edge the same value, as [Env.csr_arcs] builds them). It is the
+    exact miles-to-go, so it bounds every weight that dominates miles
+    and is consistent: the query is served by the Alt loop under that
+    potential, at any graph size and with no landmarks prepared, and
+    still returns the plain kernel's answer. An explicit [runner]
+    still wins ([Plain] ignores [toward]). Raises [Invalid_argument]
+    unless [Array.length toward = node_count t] and
+    [toward.(dst) = 0.0]; no other property is checked. *)
 
 val run_stats :
   ?runner:runner ->
+  ?toward:float array ->
   t ->
   weight:(int -> float) ->
   src:int ->
@@ -104,7 +121,8 @@ val run_stats :
 (** Like {!run} but also reports which runner served the query and how
     many nodes it settled (0 for the trivial [src = dst] query).
     Settled counts also feed the [query.<runner>.settled] {!Rr_obs}
-    counters. *)
+    counters; an Alt query served under a [toward] tree also counts in
+    [query.alt.toward]. *)
 
 val runner_name : runner -> string
 (** ["plain"] / ["alt"]. *)

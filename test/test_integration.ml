@@ -514,6 +514,216 @@ let test_augment_pool_sizes () =
             true (picks () = first)))
     [ 1; 2; 4 ]
 
+(* Ratios routes each pair as A* toward its destination's tree. The
+   reference is the sweep it replaced, literally and sequentially: one
+   plain per-pair RiskRoute search and one shortest-path tree per
+   source, with the samplers and sums of intradomain, weighted and
+   between copied beside it. *)
+let reference_pair_routes env pairs =
+  let n = Env.node_count env in
+  let off = Env.arc_off env and tgt = Env.arc_tgt env in
+  let miles = Env.arc_miles env and risk = Env.arc_risk env in
+  let source_trees = Hashtbl.create 64 in
+  Array.map
+    (fun (src, dst) ->
+      if src = dst then None
+      else begin
+        let tree =
+          match Hashtbl.find_opt source_trees src with
+          | Some tree -> tree
+          | None ->
+            let tree = Router.shortest_tree env ~src in
+            Hashtbl.add source_trees src tree;
+            tree
+        in
+        let kappa = Env.kappa env src dst in
+        let weight k = miles.(k) +. (kappa *. risk.(k)) in
+        match
+          ( Rr_graph.Dijkstra.single_pair_flat ~n ~off ~tgt ~weight ~src ~dst,
+            Router.shortest_of_tree env tree ~src ~dst )
+        with
+        | Some (rr_risk, path), Some sp ->
+          Some
+            ( rr_risk,
+              Metric.bit_miles env path,
+              sp.Router.bit_risk_miles,
+              sp.Router.bit_miles )
+        | _ -> None
+      end)
+    pairs
+
+let reference_accumulate routed ~diagonal_share =
+  let risk_sum = ref 0.0 and dist_sum = ref 0.0 and count = ref 0 in
+  Array.iter
+    (function
+      | Some (rr_risk, rr_miles, sp_risk, sp_miles)
+        when sp_risk > 0.0 && sp_miles > 0.0 ->
+        risk_sum := !risk_sum +. (rr_risk /. sp_risk);
+        dist_sum := !dist_sum +. (rr_miles /. sp_miles);
+        incr count
+      | _ -> ())
+    routed;
+  if !count = 0 then (0.0, 0.0, 0)
+  else begin
+    let n = float_of_int !count in
+    let off_diagonal = 1.0 -. diagonal_share in
+    ( 1.0 -. (!risk_sum /. n *. off_diagonal),
+      (!dist_sum /. n *. off_diagonal) -. 1.0,
+      !count )
+  end
+
+let ratios_seed = 0x4A71_05L
+
+let reference_intradomain ~pair_cap env =
+  let n = Env.node_count env in
+  let pairs =
+    Rr_util.Sampling.pair_indices (Rr_util.Prng.create ratios_seed) ~n
+      ~cap:pair_cap
+  in
+  reference_accumulate
+    (reference_pair_routes env pairs)
+    ~diagonal_share:(1.0 /. float_of_int n)
+
+let reference_weighted ~pair_cap ~weight env =
+  let n = Env.node_count env in
+  let pairs =
+    Rr_util.Sampling.pair_indices (Rr_util.Prng.create ratios_seed) ~n
+      ~cap:pair_cap
+  in
+  let routed = reference_pair_routes env pairs in
+  let risk_sum = ref 0.0 and dist_sum = ref 0.0 in
+  let weight_sum = ref 0.0 and count = ref 0 in
+  Array.iteri
+    (fun i (src, dst) ->
+      let w = weight src dst in
+      if src <> dst && w > 0.0 then
+        match routed.(i) with
+        | Some (rr_risk, rr_miles, sp_risk, sp_miles)
+          when sp_risk > 0.0 && sp_miles > 0.0 ->
+          risk_sum := !risk_sum +. (w *. rr_risk /. sp_risk);
+          dist_sum := !dist_sum +. (w *. rr_miles /. sp_miles);
+          weight_sum := !weight_sum +. w;
+          incr count
+        | _ -> ())
+    pairs;
+  if !weight_sum <= 0.0 then (0.0, 0.0, 0)
+  else
+    ( 1.0 -. (!risk_sum /. !weight_sum),
+      (!dist_sum /. !weight_sum) -. 1.0,
+      !count )
+
+let reference_between ~pair_cap env ~sources ~dests =
+  let ns = Array.length sources and nd = Array.length dests in
+  let total = ns * nd in
+  let pairs =
+    if total <= pair_cap then begin
+      let out = ref [] in
+      Array.iter
+        (fun s -> Array.iter (fun d -> if s <> d then out := (s, d) :: !out) dests)
+        sources;
+      Array.of_list !out
+    end
+    else begin
+      let rng = Rr_util.Prng.create ratios_seed in
+      let seen = Hashtbl.create (2 * pair_cap) in
+      let out = ref [] and k = ref 0 and attempts = ref 0 in
+      while !k < pair_cap && !attempts < 50 * pair_cap do
+        incr attempts;
+        let s = sources.(Rr_util.Prng.int rng ns) in
+        let d = dests.(Rr_util.Prng.int rng nd) in
+        if s <> d && not (Hashtbl.mem seen (s, d)) then begin
+          Hashtbl.add seen (s, d) ();
+          out := (s, d) :: !out;
+          incr k
+        end
+      done;
+      Array.of_list !out
+    end
+  in
+  let overlap =
+    Array.fold_left
+      (fun acc s -> if Array.mem s dests then acc + 1 else acc)
+      0 sources
+  in
+  reference_accumulate
+    (reference_pair_routes env pairs)
+    ~diagonal_share:(float_of_int overlap /. float_of_int total)
+
+let ratios_fields (r : Ratios.result) =
+  (bits r.Ratios.risk_reduction, bits r.Ratios.distance_increase, r.Ratios.pairs)
+
+let reference_fields (rr, dr, pairs) = (bits rr, bits dr, pairs)
+
+let test_ratios_match_reference () =
+  let pair_cap = 6000 in
+  let check label expect got =
+    if reference_fields expect <> ratios_fields got then
+      Alcotest.failf "%s differs from the per-pair reference" label
+  in
+  List.iter
+    (fun (tier1 : Rr_topology.Net.t) ->
+      let name = tier1.Rr_topology.Net.name in
+      let tm =
+        Rr_topology.Traffic.gravity
+          ~populations:(Rr_census.Service.shared_fractions tier1)
+          tier1
+      in
+      let weight i j = Rr_topology.Traffic.demand tm i j in
+      List.iter
+        (fun lambda_h ->
+          let env =
+            Env.of_net ~params:(Params.with_lambda_h lambda_h Params.default) tier1
+          in
+          let intra = reference_intradomain ~pair_cap env in
+          let weighted = reference_weighted ~pair_cap ~weight env in
+          List.iter
+            (fun domains ->
+              with_domains domains (fun () ->
+                  let label what =
+                    Printf.sprintf "%s %s, lambda_h %g, %d domains" what name
+                      lambda_h domains
+                  in
+                  let ctx = Rr_engine.Context.create () in
+                  let trees = Rr_engine.Context.dist_trees ctx env in
+                  check (label "intradomain") intra
+                    (Ratios.intradomain ~pair_cap env);
+                  check (label "intradomain, cached trees") intra
+                    (Ratios.intradomain ~pair_cap ~trees env);
+                  check (label "weighted") weighted
+                    (Ratios.weighted ~pair_cap ~trees ~weight env)))
+            [ 1; 2; 4 ])
+        [ 1e5; 1e6 ])
+    (zoo ()).Rr_topology.Zoo.tier1s;
+  (* Fig. 8's sweep: each regional's PoPs to every regional PoP on the
+     merged interdomain graph, at its default cap. *)
+  let merged, env = Interdomain.shared () in
+  let nets = (Interdomain.peering merged).Rr_topology.Peering.nets in
+  let dests = Interdomain.regional_nodes merged in
+  let regionals = ref 0 in
+  Array.iteri
+    (fun i (member : Rr_topology.Net.t) ->
+      if member.Rr_topology.Net.tier = Rr_topology.Net.Regional then begin
+        incr regionals;
+        let sources = Interdomain.net_nodes merged i in
+        let expect = reference_between ~pair_cap:1200 env ~sources ~dests in
+        List.iter
+          (fun domains ->
+            with_domains domains (fun () ->
+                let label =
+                  Printf.sprintf "between %s, %d domains"
+                    member.Rr_topology.Net.name domains
+                in
+                let ctx = Rr_engine.Context.create () in
+                let trees = Rr_engine.Context.dist_trees ctx env in
+                check label expect
+                  (Ratios.between ~pair_cap:1200 env ~sources ~dests);
+                check (label ^ ", cached trees") expect
+                  (Ratios.between ~pair_cap:1200 ~trees env ~sources ~dests)))
+          [ 1; 2; 4 ]
+      end)
+    nets;
+  Alcotest.(check bool) "regional sweeps" true (!regionals > 0)
+
 let () =
   Alcotest.run "integration"
     [
@@ -556,6 +766,11 @@ let () =
         [
           Alcotest.test_case "per-pair reference" `Slow
             test_strike_analyses_match_reference;
+        ] );
+      ( "ratios",
+        [
+          Alcotest.test_case "per-pair reference" `Slow
+            test_ratios_match_reference;
         ] );
       ( "registry",
         [ Alcotest.test_case "report registry" `Quick test_report_registry ] );

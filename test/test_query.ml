@@ -114,6 +114,118 @@ let runners_agree =
             (weights_of ~seed env tgt miles));
       true)
 
+(* A random geometry over [n] PoPs in [parts] components (each a random
+   spanning tree plus chords; [parts = 1] is connected), with random
+   positive historical risk, through [Env.make] so arc miles are
+   mirrored exactly as every production env builds them. *)
+let random_env ~seed ~n ~parts =
+  let rng = Rr_util.Prng.create (Int64.of_int seed) in
+  let coords =
+    Array.init n (fun _ ->
+        Rr_geo.Coord.make
+          ~lat:(Rr_util.Prng.uniform rng 25.0 48.0)
+          ~lon:(Rr_util.Prng.uniform rng (-124.0) (-70.0)))
+  in
+  let part v = v mod parts in
+  let g = Graph.create n in
+  for v = parts to n - 1 do
+    (* an earlier node of the same component *)
+    let k = (v - part v) / parts in
+    Graph.add_edge g v ((Rr_util.Prng.int rng k * parts) + part v)
+  done;
+  for _ = 1 to n do
+    let u = Rr_util.Prng.int rng n and v = Rr_util.Prng.int rng n in
+    if u <> v && part u = part v then Graph.add_edge g u v
+  done;
+  Riskroute.Env.make ~graph:g ~coords
+    ~impact:(Array.make n (1.0 /. float_of_int n))
+    ~historical:(Array.init n (fun _ -> Rr_util.Prng.uniform rng 1e-7 1e-4))
+    ()
+
+let toward_agrees =
+  QCheck.Test.make ~name:"toward agrees with plain bitwise" ~count:40
+    QCheck.(quad small_nat small_nat small_nat small_nat)
+    (fun (a, b, c, d) ->
+      let seed = 1 + (a mod 1000)
+      and n = 2 + (b mod 60)
+      and parts = 1 + (c mod 4) in
+      let env = random_env ~seed ~n ~parts in
+      let q, off, tgt, miles = query_of_env env in
+      let risk = Riskroute.Env.arc_risk env in
+      let rng = Rr_util.Prng.create (Int64.of_int ((seed * 31) + d)) in
+      (* kappa = 0 is pure bit-miles; up to 1e6 risk dominates. *)
+      let kappas =
+        0.0 :: List.init 3 (fun _ -> 10.0 ** Rr_util.Prng.uniform rng (-4.0) 6.0)
+      in
+      let removed = Array.init n (fun _ -> Rr_util.Prng.int rng 6 = 0) in
+      for _ = 1 to 10 do
+        let src = Rr_util.Prng.int rng n and dst = Rr_util.Prng.int rng n in
+        let toward =
+          (Dijkstra.single_source_flat ~n ~off ~tgt
+             ~weight:(fun k -> miles.(k))
+             ~src:dst)
+            .Dijkstra.dist
+        in
+        List.iter
+          (fun kappa ->
+            let risky k = miles.(k) +. (kappa *. risk.(k)) in
+            List.iter
+              (fun (wname, weight) ->
+                let expect = Query.run ~runner:Query.Plain q ~weight ~src ~dst in
+                let got, runner, _ =
+                  Query.run_stats ~toward q ~weight ~src ~dst
+                in
+                if toward.(src) = infinity && expect <> None then
+                  Alcotest.failf "plain routes across components (%d, %d)" src dst;
+                if not (same_answer expect got) then
+                  Alcotest.failf
+                    "toward differs from plain: %s, kappa %g, (%d, %d), n %d, \
+                     %d parts"
+                    wname kappa src dst n parts;
+                if src <> dst && runner <> Query.Alt then
+                  Alcotest.failf "toward query not served by alt")
+              [
+                ("risk", risky);
+                ("masked", fun k -> if removed.(tgt.(k)) then infinity else risky k);
+              ])
+          kappas
+      done;
+      true)
+
+let test_toward_validation () =
+  let env = random_env ~seed:3 ~n:12 ~parts:1 in
+  let q, off, tgt, miles = query_of_env env in
+  let weight k = miles.(k) in
+  let tree dst =
+    (Dijkstra.single_source_flat ~n:12 ~off ~tgt ~weight ~src:dst).Dijkstra.dist
+  in
+  Alcotest.check_raises "wrong length"
+    (Invalid_argument "Query.run: toward has the wrong length") (fun () ->
+      ignore (Query.run ~toward:(Array.make 11 0.0) q ~weight ~src:0 ~dst:5));
+  Alcotest.check_raises "not rooted at dst"
+    (Invalid_argument "Query.run: toward is not rooted at dst") (fun () ->
+      ignore (Query.run ~toward:(tree 4) q ~weight ~src:0 ~dst:5));
+  (* A pinned runner still validates, and still wins. *)
+  Alcotest.check_raises "pinned plain still validates"
+    (Invalid_argument "Query.run: toward is not rooted at dst") (fun () ->
+      ignore
+        (Query.run ~runner:Query.Plain ~toward:(tree 4) q ~weight ~src:0 ~dst:5));
+  let _, runner, _ =
+    Query.run_stats ~runner:Query.Plain ~toward:(tree 5) q ~weight ~src:0 ~dst:5
+  in
+  Alcotest.(check string) "explicit runner wins" "plain" (Query.runner_name runner);
+  let toward = Rr_obs.Counter.make "query.alt.toward" in
+  Rr_obs.set_enabled true;
+  let runner, counted =
+    Fun.protect ~finally:(fun () -> Rr_obs.set_enabled false) @@ fun () ->
+    let before = Rr_obs.Counter.value toward in
+    let _, runner, _ = Query.run_stats ~toward:(tree 5) q ~weight ~src:0 ~dst:5 in
+    (runner, Rr_obs.Counter.value toward - before)
+  in
+  Alcotest.(check string) "toward served by alt" "alt" (Query.runner_name runner);
+  Alcotest.(check bool) "no landmarks prepared" false (Query.prepared q);
+  Alcotest.(check int) "query.alt.toward counted" 1 counted
+
 let runners_agree_under_advisory =
   QCheck.Test.make ~name:"agreement holds under a storm advisory env"
     ~count:4 QCheck.small_nat
@@ -375,6 +487,8 @@ let () =
           Alcotest.test_case "plain = single_pair_flat" `Quick
             test_plain_matches_flat;
           QCheck_alcotest.to_alcotest runners_agree;
+          QCheck_alcotest.to_alcotest toward_agrees;
+          Alcotest.test_case "toward validation" `Quick test_toward_validation;
           QCheck_alcotest.to_alcotest runners_agree_under_advisory;
           Alcotest.test_case "disconnected" `Quick test_disconnected;
           Alcotest.test_case "src = dst and ranges" `Quick
