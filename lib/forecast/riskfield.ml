@@ -64,44 +64,16 @@ let empty_delta = { indices = [||]; values = [||]; bbox = None }
 
 let c_diff_evaluated = Rr_obs.Counter.make "forecast.diff_evaluated"
 
-(* A lat/lon box that contains the advisory's whole wind disk. A
-   great-circle path of length r changes latitude by at most r/R
-   radians, and longitude by at most r/(R cos phi) where phi is the
-   largest |lat| along it, which stays inside the box's own latitude
-   band; the 1% + 0.01 degree margin covers the haversine's rounding.
-   Past 89 degrees the box spans every longitude. An advisory without a
-   positive radius has no disk: [risk_at] is 0 everywhere, so the box
-   is empty (negative half-widths). *)
-type window = { lat_c : float; lat_half : float; lon_c : float; lon_half : float }
-
-let no_window =
-  { lat_c = 0.0; lat_half = neg_infinity; lon_c = 0.0; lon_half = neg_infinity }
-
-let deg = Float.pi /. 180.0
-
+(* The window around the advisory's whole wind disk: the disk of its
+   largest positive radius. An advisory without a positive radius has
+   no disk ([risk_at] is 0 everywhere), so its window is empty. *)
 let window (a : Advisory.t) =
   let positive r = if r > 0.0 then r else 0.0 in
-  let r =
-    Float.max
-      (positive a.Advisory.hurricane_radius_miles)
-      (positive a.Advisory.tropical_radius_miles)
-  in
-  if r = 0.0 then no_window
-  else begin
-    let c = a.Advisory.center in
-    let lat_half =
-      (r /. Rr_geo.Distance.earth_radius_miles /. deg *. 1.01) +. 0.01
-    in
-    let top = Float.abs c.Rr_geo.Coord.lat +. lat_half in
-    let lon_half = if top >= 89.0 then infinity else lat_half /. cos (top *. deg) in
-    { lat_c = c.Rr_geo.Coord.lat; lat_half; lon_c = c.Rr_geo.Coord.lon; lon_half }
-  end
-
-let in_window w (p : Rr_geo.Coord.t) =
-  Float.abs (p.Rr_geo.Coord.lat -. w.lat_c) <= w.lat_half
-  &&
-  let dl = Float.abs (p.Rr_geo.Coord.lon -. w.lon_c) in
-  Float.min dl (360.0 -. dl) <= w.lon_half
+  Rr_geo.Distance.disk_window ~center:a.Advisory.center
+    ~radius_miles:
+      (Float.max
+         (positive a.Advisory.hurricane_radius_miles)
+         (positive a.Advisory.tropical_radius_miles))
 
 (* A changed entry is a bitwise difference: the engine's caches key on
    IEEE-754 bit patterns, so "changed" must mean exactly what would
@@ -118,12 +90,15 @@ let diff_field ?rho_tropical ?rho_hurricane ~old_field ~next coords =
   let n = Array.length coords in
   if Array.length old_field <> n then
     invalid_arg "Riskfield.diff_field: field/coords length mismatch";
-  let w = match next with None -> no_window | Some a -> window a in
+  let w = Option.map window next in
   let idx = ref [] and vals = ref [] and pts = ref [] and count = ref 0 in
   let evaluated = ref 0 in
   for i = n - 1 downto 0 do
     let old = old_field.(i) and p = coords.(i) in
-    if Int64.bits_of_float old <> 0L || in_window w p then begin
+    if
+      Int64.bits_of_float old <> 0L
+      || match w with Some w -> Rr_geo.Distance.in_disk_window w p | None -> false
+    then begin
       incr evaluated;
       let v =
         match next with

@@ -79,10 +79,11 @@ val diff_field :
     The contract is the full scan's: the indices, the bitwise values and
     the bbox are those of evaluating {!risk_at} at every point. It is
     evaluated only at points whose old value is not bitwise [+0.0] and
-    at points inside a conservative lat/lon window around the disk of
-    [next]'s largest positive radius (none when [next] is [None] or has
-    no positive radius). Every other point is [+0.0] on both sides and
-    costs two compares, so a tick costs its storm's footprint plus the
-    old field's non-zero points. The [forecast.diff_evaluated] counter
-    records how many points were evaluated; each call runs under a
-    [forecast.diff_field] span. *)
+    at points inside {!Rr_geo.Distance.disk_window} of [next]'s centre
+    and largest positive radius (none when [next] is [None] or has no
+    positive radius). That window holds every point within the radius,
+    and outside the disk [risk_at] is the literal [0.0], so every other
+    point is [+0.0] on both sides and costs two compares: a tick costs
+    its storm's footprint plus the old field's non-zero points. The
+    [forecast.diff_evaluated] counter records how many points were
+    evaluated; each call runs under a [forecast.diff_field] span. *)

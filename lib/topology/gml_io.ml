@@ -75,12 +75,21 @@ let of_gml doc =
           | Some (Ast.String s) -> s
           | _ -> Printf.sprintf "node-%d" id
         in
-        let coord_part key =
+        (* Checked here so that an out-of-range or non-finite value is
+           a [Failure] naming the node, not [Coord.make]'s
+           [Invalid_argument]. *)
+        let coord_part key ~limit =
           match Ast.as_float (get key) with
-          | Some f -> f
+          | Some f when Float.is_finite f && Float.abs f <= limit -> f
+          | Some f ->
+            fail "Gml_io.of_gml: node %d has %s %g outside [-%g, %g]" id key f
+              limit limit
           | None -> fail "Gml_io.of_gml: node %d has non-numeric %s" id key
         in
-        (id, label, coord_part "Latitude", coord_part "Longitude"))
+        ( id,
+          label,
+          coord_part "Latitude" ~limit:90.0,
+          coord_part "Longitude" ~limit:180.0 ))
       node_lists
   in
   (* Re-index sparse ids densely, preserving document order. *)

@@ -68,18 +68,22 @@ let pareto t ~alpha ~xmin =
   in
   xmin /. (draw_u () ** (1.0 /. alpha))
 
+(* Loops, not a recursive scan: a float accumulator passed as an
+   argument is boxed at every step. The sums are the same left folds. *)
 let categorical t weights =
-  let total = Array.fold_left ( +. ) 0.0 weights in
-  assert (total > 0.0);
-  let target = float t total in
   let n = Array.length weights in
-  let rec scan i acc =
-    if i = n - 1 then i
-    else
-      let acc = acc +. weights.(i) in
-      if target < acc then i else scan (i + 1) acc
-  in
-  scan 0 0.0
+  let total = ref 0.0 in
+  for i = 0 to n - 1 do
+    total := !total +. weights.(i)
+  done;
+  assert (!total > 0.0);
+  let target = float t !total in
+  let i = ref 0 and acc = ref 0.0 and found = ref false in
+  while (not !found) && !i < n - 1 do
+    acc := !acc +. weights.(!i);
+    if target < !acc then found := true else incr i
+  done;
+  !i
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

@@ -407,6 +407,96 @@ let augment_insertion_matches_bruteforce =
         Float.abs (recomputed -. pick.Augment.total_after)
         <= 1e-6 *. Float.max 1.0 recomputed)
 
+(* Eq. 4 against a literal scan. A candidate's total is summed
+   row-major over the ordered pairs i <> j, with the insertion minimum
+   written with [Float.min] and infinite terms skipped, on the matrix of
+   fresh per-source Dijkstra runs. Greedy's first pick must be the first
+   candidate, in [candidates] order, with the least total, and its total
+   must have that total's bits. PoPs sit on a few sites, so co-located
+   PoPs are zero miles apart, and risk is integer-valued with kappa = 1,
+   so equal-cost alternatives tie exactly; without the chain the graph
+   may be disconnected. *)
+let eq4_sites =
+  [|
+    coord 29.76 (-95.37); coord 25.76 (-80.19); coord 41.88 (-87.63);
+    coord 39.74 (-104.99); coord 47.61 (-122.33);
+  |]
+
+let eq4_env_gen =
+  QCheck.Gen.(
+    int_range 3 12 >>= fun n ->
+    int_range 1 (Array.length eq4_sites) >>= fun sites ->
+    array_size (return n) (int_bound (sites - 1)) >>= fun site ->
+    array_size (return n) (int_bound 3) >>= fun risk ->
+    bool >>= fun chain ->
+    list_size (int_range 0 (2 * n)) (pair (int_bound (n - 1)) (int_bound (n - 1)))
+    >>= fun extra -> return (site, risk, chain, extra))
+
+let build_eq4_env (site, risk, chain, extra) =
+  let n = Array.length site in
+  let graph = Rr_graph.Graph.create n in
+  if chain then
+    for i = 0 to n - 2 do
+      Rr_graph.Graph.add_edge graph i (i + 1)
+    done;
+  List.iter (fun (u, v) -> if u <> v then Rr_graph.Graph.add_edge graph u v) extra;
+  (* kappa = 2 * (n / 2) / n = 1 exactly; node risk = 1 * forecast. *)
+  Env.make ~params:(Params.make ~lambda_f:1.0 ()) ~graph
+    ~coords:(Array.map (fun s -> eq4_sites.(s)) site)
+    ~impact:(Array.make n 0.5) ~historical:(Array.make n 0.0)
+    ~forecast:(Array.map float_of_int risk) ()
+
+let literal_eq4_total env m (u, v) =
+  let kappa = Env.mean_kappa env in
+  let wuv = Env.edge_weight env ~kappa u v and wvu = Env.edge_weight env ~kappa v u in
+  let n = Array.length m in
+  let total = ref 0.0 in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      if i <> j then begin
+        let t =
+          Float.min m.(i).(j)
+            (Float.min (m.(i).(u) +. wuv +. m.(v).(j)) (m.(i).(v) +. wvu +. m.(u).(j)))
+        in
+        if t < infinity then total := !total +. t
+      end
+    done
+  done;
+  !total
+
+let augment_pick_is_literal_eq4 =
+  QCheck.Test.make ~name:"greedy pick is the literal Eq. 4 minimum" ~count:300
+    (QCheck.make eq4_env_gen ~print:(fun (site, risk, chain, extra) ->
+         let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+         Printf.sprintf "sites [%s] risk [%s] chain %b extra [%s]" (ints site)
+           (ints risk) chain
+           (String.concat "; "
+              (List.map (fun (u, v) -> Printf.sprintf "%d-%d" u v) extra))))
+    (fun spec ->
+      let env = build_eq4_env spec in
+      let n = Env.node_count env in
+      let off = Env.arc_off env and tgt = Env.arc_tgt env in
+      let miles = Env.arc_miles env and risk = Env.arc_risk env in
+      let kappa = Env.mean_kappa env in
+      let m =
+        Array.init n (fun src ->
+            (Rr_graph.Dijkstra.single_source_flat ~n ~off ~tgt
+               ~weight:(fun k -> miles.(k) +. (kappa *. risk.(k)))
+               ~src)
+              .Rr_graph.Dijkstra.dist)
+      in
+      let scored =
+        List.map (fun c -> (c, literal_eq4_total env m c)) (Augment.candidates env)
+      in
+      match (Augment.greedy ~k:1 env, scored) with
+      | [], [] -> true
+      | [ pick ], _ :: _ ->
+        let best = List.fold_left (fun acc (_, t) -> Float.min acc t) infinity scored in
+        let first, _ = List.find (fun (_, t) -> t = best) scored in
+        (pick.Augment.u, pick.Augment.v) = first
+        && Int64.bits_of_float pick.Augment.total_after = Int64.bits_of_float best
+      | _ -> false)
+
 (* --- Interdomain --- *)
 
 let mini_peering () =
@@ -570,6 +660,7 @@ let () =
           Alcotest.test_case "greedy improves" `Quick test_augment_greedy_improves;
           Alcotest.test_case "greedy monotone" `Quick test_augment_greedy_monotone;
           QCheck_alcotest.to_alcotest augment_insertion_matches_bruteforce;
+          QCheck_alcotest.to_alcotest augment_pick_is_literal_eq4;
         ] );
       ( "interdomain",
         [

@@ -98,6 +98,70 @@ let interpolation_on_segment =
       let via = Distance.miles a m +. Distance.miles m b in
       Float.abs (via -. direct) < 0.01 *. direct +. 0.5)
 
+(* --- Disk windows --- *)
+
+let window_centres =
+  [
+    coord 0.0 0.0; coord 45.0 (-100.0); coord 29.95 (-90.07); coord 88.9 20.0;
+    coord 89.5 (-60.0); coord (-89.9) 100.0; coord (-88.5) 179.9;
+    coord 10.0 179.99; coord (-30.0) (-179.95); coord 60.0 180.0;
+    coord (-60.0) (-180.0); coord 90.0 0.0;
+  ]
+
+let window_radii = [ 0.01; 1.0; 30.0; 80.0; 250.0; 1000.0; 5000.0; 12000.0 ]
+
+(* Every point the haversine puts on or inside the radius is in the
+   window: the disk's edge along 36 bearings, around centres on the
+   equator, near both poles and on both sides of the antimeridian. *)
+let test_disk_window_edges () =
+  List.iter
+    (fun c ->
+      List.iter
+        (fun radius ->
+          let w = Distance.disk_window ~center:c ~radius_miles:radius in
+          Alcotest.(check bool) "centre in window" true (Distance.in_disk_window w c);
+          for b = 0 to 35 do
+            let bearing = float_of_int b *. Float.pi /. 18.0 in
+            match Disk_edge.edge_points c ~radius ~bearing with
+            | None -> ()
+            | Some (on, _) ->
+              if not (Distance.in_disk_window w on) then
+                Alcotest.failf "%s at %.17g mi from %s (radius %g) outside its window"
+                  (Coord.to_string on) (Distance.miles c on) (Coord.to_string c) radius
+          done)
+        window_radii)
+    window_centres
+
+let test_disk_window_empty () =
+  List.iter
+    (fun radius_miles ->
+      let w = Distance.disk_window ~center:nyc ~radius_miles in
+      List.iter
+        (fun p ->
+          Alcotest.(check bool)
+            (Printf.sprintf "radius %g holds nothing" radius_miles)
+            false (Distance.in_disk_window w p))
+        [ nyc; la; boston; chicago ])
+    [ 0.0; -5.0; Float.nan; Float.neg_infinity ]
+
+let disk_window_contains_disk =
+  let gen =
+    QCheck.Gen.(
+      map2 (fun lat lon -> Coord.make ~lat ~lon) (float_range (-90.0) 90.0)
+        (float_range (-180.0) 180.0)
+      >>= fun c ->
+      map (fun e -> 10.0 ** e) (float_range (-2.0) 4.1) >>= fun radius ->
+      float_range 0.0 (2.0 *. Float.pi) >>= fun bearing ->
+      float_range 0.0 1.5 >>= fun f -> return (c, radius, bearing, f))
+  in
+  QCheck.Test.make ~name:"disk window contains the disk" ~count:2000
+    (QCheck.make gen ~print:(fun (c, r, b, f) ->
+         Printf.sprintf "%s r=%g bearing=%g f=%g" (Coord.to_string c) r b f))
+    (fun (c, radius, bearing, f) ->
+      let p = Disk_edge.destination c ~bearing ~miles:(f *. radius) in
+      let w = Distance.disk_window ~center:c ~radius_miles:radius in
+      Distance.miles c p > radius || Distance.in_disk_window w p)
+
 (* --- Bbox --- *)
 
 let test_bbox_contains () =
@@ -232,6 +296,12 @@ let () =
           Alcotest.test_case "within disc" `Quick test_within;
           QCheck_alcotest.to_alcotest triangle_inequality;
           QCheck_alcotest.to_alcotest interpolation_on_segment;
+        ] );
+      ( "disk window",
+        [
+          Alcotest.test_case "edge points inside" `Quick test_disk_window_edges;
+          Alcotest.test_case "empty without a radius" `Quick test_disk_window_empty;
+          QCheck_alcotest.to_alcotest disk_window_contains_disk;
         ] );
       ( "bbox",
         [

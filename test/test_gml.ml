@@ -167,6 +167,32 @@ let test_gml_io_missing_fields () =
        false
      with Failure _ -> true)
 
+(* A coordinate out of range, or not finite, is a typed [Failure] that
+   names the node, the promise of [of_gml]'s interface, and never
+   [Coord.make]'s [Invalid_argument]. *)
+let test_gml_io_bad_coordinates () =
+  let doc lat lon =
+    Printf.sprintf
+      "graph [ node [ id 7 label \"x\" Latitude %s Longitude %s ] ]" lat lon
+  in
+  List.iter
+    (fun (lat, lon, want) ->
+      match Rr_topology.Gml_io.of_gml (Parser.parse (doc lat lon)) with
+      | _ -> Alcotest.failf "Latitude %s Longitude %s accepted" lat lon
+      | exception Failure msg -> Alcotest.(check string) want want msg
+      | exception e ->
+        Alcotest.failf "Latitude %s Longitude %s raised %s" lat lon
+          (Printexc.to_string e))
+    [
+      ("95", "-87.6", "Gml_io.of_gml: node 7 has Latitude 95 outside [-90, 90]");
+      ( "41.9",
+        "-181",
+        "Gml_io.of_gml: node 7 has Longitude -181 outside [-180, 180]" );
+      ( "1e999",
+        "-87.6",
+        "Gml_io.of_gml: node 7 has Latitude inf outside [-90, 90]" );
+    ]
+
 let test_gml_io_file_round_trip () =
   let net = Rr_topology.Gml_io.of_gml (Parser.parse sample) in
   let path = Filename.temp_file "riskroute" ".gml" in
@@ -203,6 +229,7 @@ let () =
           Alcotest.test_case "round trip" `Quick test_gml_io_round_trip;
           Alcotest.test_case "sparse ids" `Quick test_gml_io_sparse_ids;
           Alcotest.test_case "missing fields" `Quick test_gml_io_missing_fields;
+          Alcotest.test_case "bad coordinates" `Quick test_gml_io_bad_coordinates;
           Alcotest.test_case "file round trip" `Quick test_gml_io_file_round_trip;
         ] );
     ]

@@ -78,6 +78,107 @@ let test_prng_categorical_skew () =
   done;
   Alcotest.(check bool) "index 1 dominates" true (counts.(1) > counts.(0))
 
+(* [Prng.categorical] as it was written before it became a loop: a
+   recursive scan with a float accumulator. The loop must pick the same
+   index and leave the generator in the same state. *)
+let reference_categorical t weights =
+  let total = Array.fold_left ( +. ) 0.0 weights in
+  assert (total > 0.0);
+  let target = Prng.float t total in
+  let n = Array.length weights in
+  let rec scan i acc =
+    if i = n - 1 then i
+    else
+      let acc = acc +. weights.(i) in
+      if target < acc then i else scan (i + 1) acc
+  in
+  scan 0 0.0
+
+(* Weights mix zeros, small integers (exact running sums) and
+   fractions, with trailing zeros and length 1. *)
+let categorical_weights_gen =
+  QCheck.Gen.(
+    int_range 1 12 >>= fun n ->
+    array_size (return n)
+      (frequency
+         [ (3, return 0.0); (3, map float_of_int (int_range 1 4));
+           (2, float_range 0.0 2.0) ])
+    >>= fun w ->
+    int_range 0 3 >>= fun zeros ->
+    let w = Array.append w (Array.make zeros 0.0) in
+    (if Array.fold_left ( +. ) 0.0 w > 0.0 then return w
+     else map (fun i -> w.(i) <- 1.0; w) (int_bound (Array.length w - 1)))
+    >>= fun w -> map (fun seed -> (w, Int64.of_int seed)) nat)
+
+let categorical_matches_reference =
+  QCheck.Test.make ~name:"categorical equals the recursive scan" ~count:500
+    (QCheck.make categorical_weights_gen ~print:(fun (w, seed) ->
+         Printf.sprintf "seed %Ld weights [%s]" seed
+           (String.concat "; " (Array.to_list (Array.map string_of_float w)))))
+    (fun (w, seed) ->
+      let a = Prng.create seed and b = Prng.create seed in
+      let same = ref true in
+      for _ = 1 to 20 do
+        if Prng.categorical a w <> reference_categorical b w then same := false
+      done;
+      !same && Prng.int64 a = Prng.int64 b)
+
+let test_prng_categorical_edges () =
+  List.iter
+    (fun w ->
+      for seed = 0 to 199 do
+        let a = Prng.create (Int64.of_int seed) in
+        let b = Prng.create (Int64.of_int seed) in
+        let i = Prng.categorical a w in
+        Alcotest.(check int) "index" (reference_categorical b w) i;
+        Alcotest.(check bool) "positive weight" true (w.(i) > 0.0);
+        Alcotest.(check int64) "state" (Prng.int64 b) (Prng.int64 a)
+      done)
+    [ [| 2.5 |]; [| 0.0; 3.0 |]; [| 3.0; 0.0; 0.0 |]; [| 0.0; 1.0; 0.0; 2.0; 0.0 |] ]
+
+(* A seed whose first draw is [x]: SplitMix64's output mixer is a
+   bijection, undone step by step (each xor-shift by fixed-point
+   iteration, each multiply by its odd constant's inverse mod 2^64),
+   and [create] adds the golden gamma before the first mix. *)
+let seed_for_first_draw x =
+  let unshift y s =
+    let z = ref y in
+    for _ = 0 to 64 / s do
+      z := Int64.logxor y (Int64.shift_right_logical !z s)
+    done;
+    !z
+  in
+  let inverse c =
+    let r = ref c in
+    for _ = 1 to 6 do
+      r := Int64.mul !r (Int64.sub 2L (Int64.mul c !r))
+    done;
+    !r
+  in
+  let z = unshift x 31 in
+  let z = unshift (Int64.mul z (inverse 0x94D049BB133111EBL)) 27 in
+  let z = unshift (Int64.mul z (inverse 0xBF58476D1CE4E5B9L)) 30 in
+  Int64.sub z 0x9E3779B97F4A7C15L
+
+(* Targets that land exactly on a running sum: the scan moves past an
+   index whose running sum equals the target, so a zero weight is never
+   drawn and a sum that only reaches the target does not claim it. *)
+let test_prng_categorical_exact_targets () =
+  List.iter
+    (fun (w, u, want) ->
+      let x = Int64.shift_left (Int64.of_float (u *. 9007199254740992.0)) 11 in
+      let seed = seed_for_first_draw x in
+      Alcotest.(check int64) "crafted first draw" x (Prng.int64 (Prng.create seed));
+      let label = Printf.sprintf "u = %g" u in
+      Alcotest.(check int) label want (Prng.categorical (Prng.create seed) w);
+      Alcotest.(check int) label want (reference_categorical (Prng.create seed) w))
+    [
+      ([| 1.0; 3.0 |], 0.25, 1);
+      ([| 0.0; 2.0; 2.0 |], 0.0, 1);
+      ([| 2.0; 0.0; 2.0 |], 0.5, 2);
+      ([| 1.0; 1.0; 0.0 |], 0.5, 1);
+    ]
+
 let test_prng_split_independent () =
   let root = Prng.create 99L in
   let a = Prng.split root in
@@ -250,6 +351,11 @@ let () =
           Alcotest.test_case "pareto support" `Quick test_prng_pareto_support;
           Alcotest.test_case "categorical support" `Quick test_prng_categorical;
           Alcotest.test_case "categorical skew" `Quick test_prng_categorical_skew;
+          Alcotest.test_case "categorical edge weights" `Quick
+            test_prng_categorical_edges;
+          Alcotest.test_case "categorical exact targets" `Quick
+            test_prng_categorical_exact_targets;
+          QCheck_alcotest.to_alcotest categorical_matches_reference;
           Alcotest.test_case "split independence" `Quick test_prng_split_independent;
           Alcotest.test_case "shuffle permutation" `Quick test_prng_shuffle_permutation;
         ] );
