@@ -152,14 +152,13 @@ let query_kernels () =
       let q = Rr_engine.Context.net_query ctx net in
       Rr_graph.Query.prepare q;
       let n = Rr_graph.Query.node_count q in
-      let miles = Rr_graph.Query.arc_miles q in
-      let weight k = Array.unsafe_get miles k in
+      let weight = Rr_graph.Dijkstra.Miles (Rr_graph.Query.arc_miles q) in
       let pairs = query_pair_set ~n ~seed:0xBE5C_0DEL in
       let kernel runner =
         fun () ->
           Array.iter
             (fun (src, dst) ->
-              ignore (Rr_graph.Query.run ~runner q ~weight ~src ~dst))
+              ignore (Rr_graph.Query.search ~runner q ~weight ~src ~dst))
             pairs
       in
       let label r = Printf.sprintf "query/%s-%dk" r (pops / 1000) in
@@ -348,8 +347,6 @@ let run_continental_smoke ~pops ~pairs ~out =
   let q = Rr_engine.Context.query ctx env in
   Rr_graph.Query.prepare q;
   let n = Rr_graph.Query.node_count q in
-  let miles = Riskroute.Env.arc_miles env
-  and risk = Riskroute.Env.arc_risk env in
   let pair_set =
     let rng = Rr_util.Prng.create 0x5040_CE55L in
     Array.init pairs (fun _ ->
@@ -374,22 +371,21 @@ let run_continental_smoke ~pops ~pairs ~out =
   in
   Array.iter
     (fun (src, dst) ->
-      let kappa = Riskroute.Env.kappa env src dst in
       let weights =
         [
-          ("miles", fun k -> Array.unsafe_get miles k);
+          ("miles", Rr_graph.Dijkstra.Miles (Riskroute.Env.arc_miles env));
           ( "risk",
-            fun k ->
-              Array.unsafe_get miles k +. (kappa *. Array.unsafe_get risk k) );
+            Riskroute.Env.eq1_weight env
+              ~kappa:(Riskroute.Env.kappa env src dst) );
         ]
       in
       List.iter
         (fun (wname, weight) ->
           let plain, _, s_plain =
-            Rr_graph.Query.run_stats ~runner:Rr_graph.Query.Plain q ~weight ~src ~dst
+            Rr_graph.Query.search ~runner:Rr_graph.Query.Plain q ~weight ~src ~dst
           in
           let alt, _, s_alt =
-            Rr_graph.Query.run_stats ~runner:Rr_graph.Query.Alt q ~weight ~src ~dst
+            Rr_graph.Query.search ~runner:Rr_graph.Query.Alt q ~weight ~src ~dst
           in
           bump ("plain." ^ wname) s_plain;
           bump ("alt." ^ wname) s_alt;

@@ -188,12 +188,9 @@ let route_continental ~pops ~src ~dst ~lambda_h =
   let params = Riskroute.Params.with_lambda_h lambda_h Riskroute.Params.default in
   let env = Rr_engine.Context.env ~params c net in
   let q = Rr_engine.Context.query c env in
-  let miles = Riskroute.Env.arc_miles env
-  and risk = Riskroute.Env.arc_risk env in
-  let kappa = Riskroute.Env.kappa env src_id dst_id in
-  let w_miles k = Array.unsafe_get miles k in
-  let w_risk k =
-    Array.unsafe_get miles k +. (kappa *. Array.unsafe_get risk k)
+  let w_miles = Rr_graph.Dijkstra.Miles (Riskroute.Env.arc_miles env) in
+  let w_risk =
+    Riskroute.Env.eq1_weight env ~kappa:(Riskroute.Env.kappa env src_id dst_id)
   in
   Rr_graph.Query.prepare q;
   let path_cost weight path =
@@ -201,7 +198,7 @@ let route_continental ~pops ~src ~dst ~lambda_h =
       ~tgt:(Riskroute.Env.arc_tgt env) ~weight path
   in
   let describe label weight =
-    match Rr_graph.Query.run_stats q ~weight ~src:src_id ~dst:dst_id with
+    match Rr_graph.Query.search q ~weight ~src:src_id ~dst:dst_id with
     | None, _, _ ->
       or_die (Error (Printf.sprintf "%s and %s are disconnected" src dst))
     | Some (_, path), runner, settled ->

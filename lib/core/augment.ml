@@ -26,12 +26,12 @@ let node_ids n = Array.init n (fun i -> i)
 (* All-pairs matrix of minimum path cost under a per-arc weight:
    [m.(i).(j)] is the best cost i -> j, infinity when disconnected. One
    single-source Dijkstra per row, swept by the domain pool. *)
-let all_pairs_arcs env ~arc_weight =
+let all_pairs_arcs env ~weight =
   let n = Env.node_count env in
   let off = Env.arc_off env and tgt = Env.arc_tgt env in
   Parallel.map_array
     (fun src ->
-      (Rr_graph.Dijkstra.single_source_flat ~n ~off ~tgt ~weight:arc_weight ~src)
+      (Rr_graph.Dijkstra.single_source_flat ~n ~off ~tgt ~weight ~src)
         .Rr_graph.Dijkstra.dist)
     (node_ids n)
 
@@ -47,18 +47,15 @@ let matrix_total m =
   done;
   !acc
 
-let risk_arc_weight env =
-  let kappa = Env.mean_kappa env in
-  let miles = Env.arc_miles env and risk = Env.arc_risk env in
-  fun k -> Array.unsafe_get miles k +. (kappa *. Array.unsafe_get risk k)
+let risk_arc_weight env = Env.eq1_weight env ~kappa:(Env.mean_kappa env)
 
 (* All-pairs rows from a caller-supplied tree provider (an engine cache)
    when given, else computed fresh. Cached [dist] arrays may be aliased
    as matrix rows: the greedy relaxation copies rows before mutating
    them, and everything else only reads. *)
-let all_pairs_rows ?trees env ~arc_weight =
+let all_pairs_rows ?trees env ~weight =
   match trees with
-  | None -> all_pairs_arcs env ~arc_weight
+  | None -> all_pairs_arcs env ~weight
   | Some f ->
     let n = Env.node_count env in
     Parallel.map_array (fun src -> (f src).Rr_graph.Dijkstra.dist) (node_ids n)
@@ -71,7 +68,7 @@ let risk_weight env =
 
 let total_bit_risk ?risk_trees env =
   matrix_total
-    (all_pairs_rows ?trees:risk_trees env ~arc_weight:(risk_arc_weight env))
+    (all_pairs_rows ?trees:risk_trees env ~weight:(risk_arc_weight env))
 
 (* The single-edge insertion minimum of one cell: [x] is the current
    entry, [c1] and [c2] the costs through the new edge in its two
@@ -188,9 +185,9 @@ let candidates ?(max_candidates = 400) ?(reduction_threshold = 0.5) ?dist_trees
  Rr_obs.with_span "augment.candidates" @@ fun () ->
   let graph = Env.graph env in
   let n = Rr_graph.Graph.node_count graph in
-  let miles = Env.arc_miles env in
   let dist_matrix =
-    all_pairs_rows ?trees:dist_trees env ~arc_weight:(fun k -> miles.(k))
+    all_pairs_rows ?trees:dist_trees env
+      ~weight:(Rr_graph.Dijkstra.Miles (Env.arc_miles env))
   in
   (* Rows are independent, so they run on the pool. Each row conses its
      pairs in increasing [v]; concatenating the rows in decreasing [u]
@@ -224,7 +221,7 @@ let greedy ?(k = 1) ?max_candidates ?reduction_threshold ?dist_trees ?risk_trees
   let weight = risk_weight env in
   let graph = Rr_graph.Graph.copy (Env.graph env) in
   let m =
-    ref (all_pairs_rows ?trees:risk_trees env ~arc_weight:(risk_arc_weight env))
+    ref (all_pairs_rows ?trees:risk_trees env ~weight:(risk_arc_weight env))
   in
   let n = Array.length !m in
   let original = matrix_total !m in

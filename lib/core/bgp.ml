@@ -32,7 +32,7 @@ let lifted_dijkstra merged env ~weight ~src ~dst =
   let dist = Array.make size infinity in
   let parent = Array.make size (-1) in
   let settled = Array.make size false in
-  let heap = Rr_util.Heap.create ~capacity:(4 * n) () in
+  let heap = Rr_graph.Dijkstra.Heap.create ~capacity:(4 * n) () in
   let state node phase = (node * phases) + phase in
   (* Goal direction rides along when the environment's query facade has
      landmarks prepared: heap keys carry the landmark lower bound on the
@@ -45,11 +45,11 @@ let lifted_dijkstra merged env ~weight ~src ~dst =
     | None -> fun _ -> 0.0
   in
   dist.(state src 0) <- 0.0;
-  Rr_util.Heap.push heap (pot src) (state src 0);
+  Rr_graph.Dijkstra.Heap.push heap (pot src) (state src 0);
   let best_dst = ref None in
   let continue = ref true in
   while !continue do
-    match Rr_util.Heap.pop_min heap with
+    match Rr_graph.Dijkstra.Heap.pop_min heap with
     | None -> continue := false
     | Some (_, s) ->
       if not settled.(s) then begin
@@ -83,7 +83,7 @@ let lifted_dijkstra merged env ~weight ~src ~dst =
                 if nd < dist.(s') then begin
                   dist.(s') <- nd;
                   parent.(s') <- s;
-                  Rr_util.Heap.push heap (nd +. pot next) s'
+                  Rr_graph.Dijkstra.Heap.push heap (nd +. pot next) s'
                 end
               end
           done

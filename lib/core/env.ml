@@ -289,6 +289,9 @@ let arc_count t = Array.length t.arc_tgt
 
 let kappa t i j = t.impact.(i) +. t.impact.(j)
 
+let eq1_weight t ~kappa =
+  Rr_graph.Dijkstra.Eq1 { miles = t.arc_miles; risk = t.arc_risk; kappa }
+
 let mean_kappa t = t.mean_kappa
 
 let edge_weight t ~kappa u v = link_miles t u v +. (kappa *. t.node_risk.(v))

@@ -138,6 +138,11 @@ val query : t -> Rr_graph.Query.t
 val kappa : t -> int -> int -> float
 (** Outage impact [kappa_ij = c_i + c_j]. *)
 
+val eq1_weight : t -> kappa:float -> Rr_graph.Dijkstra.weight
+(** The Eq. 1 arc weight under [kappa] as data the search loops read in
+    place: [Eq1] over {!arc_miles} and {!arc_risk}, weighing arc [k] as
+    [arc_miles k +. kappa *. arc_risk k]. *)
+
 val mean_kappa : t -> float
 (** Network-average impact [2/n], used by pair-independent analyses (see
     {!Augment}): [2.0 *. Rr_util.Arrayx.fsum (impact t) /. n], computed

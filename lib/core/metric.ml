@@ -14,18 +14,13 @@ let path_cost env ~weight path =
     ~weight path
 
 let bit_miles env path =
-  let miles = Env.arc_miles env in
-  path_cost env ~weight:(fun k -> Array.unsafe_get miles k) path
+  path_cost env ~weight:(Rr_graph.Dijkstra.Miles (Env.arc_miles env)) path
 
 let path_risk env path =
   fold_hops path ~init:0.0 ~f:(fun acc _ b -> acc +. Env.node_risk env b)
 
 let bit_risk_miles_kappa env ~kappa path =
-  let miles = Env.arc_miles env and risk = Env.arc_risk env in
-  path_cost env
-    ~weight:(fun k ->
-      Array.unsafe_get miles k +. (kappa *. Array.unsafe_get risk k))
-    path
+  path_cost env ~weight:(Env.eq1_weight env ~kappa) path
 
 type term = {
   tail : int;

@@ -14,22 +14,20 @@ let route_of_path env path =
 (* Single-pair queries go through the environment's query facade, which
    picks plain or ALT per graph size (or A* under the destination's
    tree when one is given) while returning answers bit-identical to
-   [Dijkstra.single_pair_flat]. *)
+   [Dijkstra.single_pair_flat]. The weights are data, so the search
+   allocates nothing per relaxation. *)
 let riskroute ?toward env ~src ~dst =
-  let kappa = Env.kappa env src dst in
-  let miles = Env.arc_miles env and risk = Env.arc_risk env in
-  let weight k = Array.unsafe_get miles k +. (kappa *. Array.unsafe_get risk k) in
+  let weight = Env.eq1_weight env ~kappa:(Env.kappa env src dst) in
   let toward = Option.map (fun tr -> tr.Rr_graph.Dijkstra.dist) toward in
-  match Rr_graph.Query.run ?toward (Env.query env) ~weight ~src ~dst with
-  | None -> None
-  | Some (cost, path) ->
+  match Rr_graph.Query.search ?toward (Env.query env) ~weight ~src ~dst with
+  | None, _, _ -> None
+  | Some (cost, path), _, _ ->
     Some { path; bit_miles = Metric.bit_miles env path; bit_risk_miles = cost }
 
 let shortest_tree env ~src =
-  let miles = Env.arc_miles env in
   Rr_graph.Dijkstra.single_source_flat ~n:(Env.node_count env)
     ~off:(Env.arc_off env) ~tgt:(Env.arc_tgt env)
-    ~weight:(fun k -> Array.unsafe_get miles k)
+    ~weight:(Rr_graph.Dijkstra.Miles (Env.arc_miles env))
     ~src
 
 let shortest_of_tree env tree ~src ~dst =
@@ -47,12 +45,11 @@ let shortest_of_tree env tree ~src ~dst =
         }
 
 let shortest env ~src ~dst =
-  let miles = Env.arc_miles env in
   match
-    Rr_graph.Query.run (Env.query env)
-      ~weight:(fun k -> Array.unsafe_get miles k)
+    Rr_graph.Query.search (Env.query env)
+      ~weight:(Rr_graph.Dijkstra.Miles (Env.arc_miles env))
       ~src ~dst
   with
-  | None -> None
-  | Some (cost, path) ->
+  | None, _, _ -> None
+  | Some (cost, path), _, _ ->
     Some { path; bit_miles = cost; bit_risk_miles = Metric.bit_risk_miles env path }

@@ -17,7 +17,7 @@ val riskroute :
     when given, must be the {!shortest_tree} rooted at [dst] (or a tree
     bitwise equal to it, such as a cached one): the search then runs as
     A* toward [dst] under its exact miles-to-go, settling fewer nodes
-    for the same route (see {!Rr_graph.Query.run}). Raises
+    for the same route (see {!Rr_graph.Query.search}). Raises
     [Invalid_argument] when its [dist] does not have one entry per PoP
     or is not [0.0] at [dst]. *)
 

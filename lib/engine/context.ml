@@ -315,33 +315,26 @@ let cached_tree t ~key ~compute =
 let dist_trees t env_ =
   let fp = geometry_fp t env_ in
   let n = Riskroute.Env.node_count env_ in
-  let off = Riskroute.Env.arc_off env_
-  and tgt = Riskroute.Env.arc_tgt env_
-  and miles = Riskroute.Env.arc_miles env_ in
+  let off = Riskroute.Env.arc_off env_ and tgt = Riskroute.Env.arc_tgt env_ in
+  let weight = Rr_graph.Dijkstra.Miles (Riskroute.Env.arc_miles env_) in
   fun src ->
     cached_tree t
       ~key:(fp ^ ":d:" ^ string_of_int src)
       ~compute:(fun () ->
-        Rr_graph.Dijkstra.single_source_flat ~n ~off ~tgt
-          ~weight:(fun k -> Array.unsafe_get miles k)
-          ~src)
+        Rr_graph.Dijkstra.single_source_flat ~n ~off ~tgt ~weight ~src)
 
 let risk_trees t env_ =
   let fp = risk_fp t env_ in
   let n = Riskroute.Env.node_count env_ in
-  let off = Riskroute.Env.arc_off env_
-  and tgt = Riskroute.Env.arc_tgt env_
-  and miles = Riskroute.Env.arc_miles env_
-  and risk = Riskroute.Env.arc_risk env_ in
-  let kappa = Riskroute.Env.mean_kappa env_ in
+  let off = Riskroute.Env.arc_off env_ and tgt = Riskroute.Env.arc_tgt env_ in
+  let weight =
+    Riskroute.Env.eq1_weight env_ ~kappa:(Riskroute.Env.mean_kappa env_)
+  in
   fun src ->
     cached_tree t
       ~key:(fp ^ ":r:" ^ string_of_int src)
       ~compute:(fun () ->
-        Rr_graph.Dijkstra.single_source_flat ~n ~off ~tgt
-          ~weight:(fun k ->
-            Array.unsafe_get miles k +. (kappa *. Array.unsafe_get risk k))
-          ~src)
+        Rr_graph.Dijkstra.single_source_flat ~n ~off ~tgt ~weight ~src)
 
 (* --- Delta-aware advisory stepping ----------------------------------
 
@@ -408,17 +401,10 @@ let patched_env ?advisory t n ~parent =
       let n_nodes = Riskroute.Env.node_count parent in
       let off = Riskroute.Env.arc_off parent
       and tgt = Riskroute.Env.arc_tgt parent
-      and mate = Riskroute.Env.arc_mate parent
-      and miles = Riskroute.Env.arc_miles parent
-      and old_risk = Riskroute.Env.arc_risk parent
-      and new_risk = Riskroute.Env.arc_risk child in
+      and mate = Riskroute.Env.arc_mate parent in
       let kappa = Riskroute.Env.mean_kappa parent in
-      let w_old k =
-        Array.unsafe_get miles k +. (kappa *. Array.unsafe_get old_risk k)
-      in
-      let w_new k =
-        Array.unsafe_get miles k +. (kappa *. Array.unsafe_get new_risk k)
-      in
+      let w_old = Riskroute.Env.eq1_weight parent ~kappa in
+      let w_new = Riskroute.Env.eq1_weight child ~kappa in
       let frontier_limit =
         max 1
           (int_of_float
@@ -513,8 +499,7 @@ let build_net_query t (net : Rr_topology.Net.t) =
         ~key:(fp ^ ":d:" ^ string_of_int src)
         ~compute:(fun () ->
           Rr_graph.Dijkstra.single_source_flat ~n ~off ~tgt
-            ~weight:(fun k -> Array.unsafe_get miles k)
-            ~src));
+            ~weight:(Rr_graph.Dijkstra.Miles miles) ~src));
   q
 
 let net_query t net =

@@ -2,7 +2,7 @@
 
    Everything here is re-derivation, not re-implementation: per-arc
    terms come from Riskroute.Metric.term (whose products replay
-   Env.compute_node_risk bitwise), arc weights replay the exact closures
+   Env.compute_node_risk bitwise), arc weights are the same data
    Router hands to Rr_graph.Query, and route totals are the query costs
    themselves. Corpus and continental networks share one pipeline over
    the Env that Context caches, and the fingerprints come from Context's
@@ -192,13 +192,9 @@ let explain ?params ?advisory ?(top_k = default_top_k) ctx net ~src ~dst =
        landmarks from the tree LRU on the first query. *)
     let q = Rr_engine.Context.query ctx env in
     let kappa = Riskroute.Env.kappa env src dst in
-    let miles = Riskroute.Env.arc_miles env in
-    let risk = Riskroute.Env.arc_risk env in
-    (* The exact weight closures Router.riskroute / Router.shortest use. *)
-    let w_miles k = Array.unsafe_get miles k in
-    let w_risk k =
-      Array.unsafe_get miles k +. (kappa *. Array.unsafe_get risk k)
-    in
+    (* The exact weights Router.riskroute / Router.shortest use. *)
+    let w_miles = Rr_graph.Dijkstra.Miles (Riskroute.Env.arc_miles env) in
+    let w_risk = Riskroute.Env.eq1_weight env ~kappa in
     let name_of i = (Rr_topology.Net.pop net i).Rr_topology.Pop.name in
     let term_of a b =
       let t = Riskroute.Metric.term env a b in
@@ -214,8 +210,8 @@ let explain ?params ?advisory ?(top_k = default_top_k) ctx net ~src ~dst =
       }
     in
     match
-      ( Rr_graph.Query.run_stats q ~weight:w_risk ~src ~dst,
-        Rr_graph.Query.run_stats q ~weight:w_miles ~src ~dst )
+      ( Rr_graph.Query.search q ~weight:w_risk ~src ~dst,
+        Rr_graph.Query.search q ~weight:w_miles ~src ~dst )
     with
     | (None, _, _), _ | _, (None, _, _) ->
       Error

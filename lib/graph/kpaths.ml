@@ -22,7 +22,7 @@ let yen ~n ~off ~tgt ~weight ~src ~dst ~k =
            for i = 0 to Array.length prev - 2 do
              let spur = prev.(i) in
              let root = Array.to_list (Array.sub prev 0 (i + 1)) in
-             let root_cost = Dijkstra.path_cost ~off ~tgt ~weight root in
+             let root_cost = Dijkstra.path_cost ~off ~tgt ~weight:(Fn weight) root in
              (* Ban the next hop of every accepted path sharing this root,
                 and every root node before the spur: arcs into a banned
                 node weigh infinity, so the spur search never settles

@@ -1,31 +1,38 @@
 (** Point-to-point shortest-path queries with goal direction.
 
     A query object wraps one CSR geometry (offsets, targets, per-arc
-    bit-miles) and serves single-pair queries under any arc-weight
-    function that {e dominates} bit-miles ([weight k >= arc_miles k],
-    true of every RiskRoute objective: risk only adds non-negative
-    weight). Only such weights may use {!run}: the ALT runner's
-    landmark bound is computed in bit-miles and overestimates under a
-    weight that falls below them, so weights such as LARAC's scaled
-    latency or quantised OSPF costs go to
-    {!Dijkstra.single_pair_flat} instead. An [infinity] arc weight
-    removes the arc in every runner (it dominates anything), which is
-    how failed nodes and links are expressed. Two runners are
-    available:
+    bit-miles) and serves single-pair queries under any arc weight that
+    {e dominates} bit-miles ([weight k >= arc_miles k], true of every
+    RiskRoute objective: risk only adds non-negative weight). Only such
+    weights may use {!search}: the ALT runner's landmark bound is
+    computed in bit-miles and overestimates under a weight that falls
+    below them, so weights such as LARAC's scaled latency or quantised
+    OSPF costs go to {!Dijkstra.single_pair_flat} instead. An
+    [infinity] arc weight removes the arc in every runner (it dominates
+    anything), which is how failed nodes and links are expressed. Two
+    runners are available, both {!Dijkstra.search} — one loop — under
+    different {!Dijkstra.potential}s:
 
-    - {e plain} — the {!Dijkstra.single_pair_flat} kernel;
+    - {e plain} — {!Dijkstra.Zero}: Dijkstra, keyed by the labels;
     - {e alt} — A* under one of two potentials: landmark lower bounds
-      (ALT: ~16 landmarks chosen by farthest-point selection over
-      bit-miles, their full distance trees reused across every weight
-      function on the same geometry), or the destination's own
-      bit-miles tree when the caller passes one ([?toward]).
+      ({!Dijkstra.Landmarks}: ~16 landmarks chosen by farthest-point
+      selection over bit-miles, their full distance trees reused across
+      every weight on the same geometry), or the destination's own
+      bit-miles tree when the caller passes one ([?toward],
+      {!Dijkstra.Toward}).
 
     Both return bit-identical (cost, path) answers: costs are the same
     left-fold of arc weights the plain kernel accumulates, and
     equal-cost tie-breaks follow the plain kernel's settle order.
 
-    Queries reuse per-domain scratch (distance/parent/settled arrays,
-    heaps) held in domain-local storage, so concurrent queries from a
+    Eq. 1 callers pass their weight as data ({!Dijkstra.Miles},
+    {!Dijkstra.Eq1}) to {!search}; the loop then reads it in place and
+    a query allocates nothing per relaxation (see {!Dijkstra} for why
+    no float may cross a call ocamlopt cannot inline). {!run} and
+    {!run_stats} take a closure and wrap it in {!Dijkstra.Fn}.
+
+    Queries reuse per-domain scratch ({!Dijkstra.workspace}) held in
+    domain-local storage, so concurrent queries from a
     {!Rr_util.Parallel} pool are safe and allocation stays flat across
     repeated queries. A query claims its domain's scratch with a
     compare-and-set; one that finds it taken (another systhread of the
@@ -73,29 +80,32 @@ val landmark_sources : t -> int array
 
 val potential : t -> dst:int -> (int -> float) option
 (** Landmark lower bound on the bit-miles distance to [dst] —
-    [max_L |d_L(v) - d_L(dst)|] — or [None] before {!prepare}. Valid
-    (and consistent) for any weight function dominating bit-miles, so
-    external goal-directed searches (e.g. the valley-free BGP lift) can
-    use it as an A* heuristic. *)
+    [max_L |d_L(v) - d_L(dst)|], {!Dijkstra.potential_at} under
+    {!Dijkstra.Landmarks} — or [None] before {!prepare}. Valid (and
+    consistent) for any weight dominating bit-miles, so external
+    goal-directed searches (e.g. the valley-free BGP lift) can use it as
+    an A* heuristic. *)
 
 val choose : t -> runner
 (** Selection policy for queries without a [toward] tree: plain up to
     1024 nodes, ALT above (preparing the landmarks on demand, through
     the tree provider when one is set). *)
 
-val run :
+val search :
   ?runner:runner ->
   ?toward:float array ->
   t ->
-  weight:(int -> float) ->
+  weight:Dijkstra.weight ->
   src:int ->
   dst:int ->
-  (float * int list) option
+  (float * int list) option * runner * int
 (** Cost and node path, [None] when disconnected — bit-identical to
-    {!Dijkstra.single_pair_flat} with the same arguments. [weight] must
-    satisfy [weight k >= arc_miles k] for every arc ([infinity] removes
-    the arc). [runner] overrides {!choose}. Raises [Invalid_argument]
-    on out-of-range endpoints or a negative arc weight.
+    {!Dijkstra.single_pair_flat} under the same weight — with the
+    runner that served the query and the nodes it settled (0 for the
+    trivial [src = dst] query). [weight] must satisfy
+    [weight k >= arc_miles k] for every arc ([infinity] removes the
+    arc). [runner] overrides {!choose}. Raises [Invalid_argument] on
+    out-of-range endpoints or a negative arc weight.
 
     [toward], when given, must be the [dist] array of a bit-miles
     distance tree rooted at [dst] over this geometry, bit-identical to
@@ -103,12 +113,17 @@ val run :
     geometry's arcs must carry mirrored miles (both directions of an
     edge the same value, as [Env.csr_arcs] builds them). It is the
     exact miles-to-go, so it bounds every weight that dominates miles
-    and is consistent: the query is served by the Alt loop under that
+    and is consistent: the query is served by the Alt runner under that
     potential, at any graph size and with no landmarks prepared, and
     still returns the plain kernel's answer. An explicit [runner]
     still wins ([Plain] ignores [toward]). Raises [Invalid_argument]
     unless [Array.length toward = node_count t] and
-    [toward.(dst) = 0.0]; no other property is checked. *)
+    [toward.(dst) = 0.0]; no other property is checked.
+
+    Settled counts feed the [query.<runner>.runs] and
+    [query.<runner>.settled] {!Rr_obs} counters; an Alt query served
+    under a [toward] tree also counts in [query.alt.toward]. The
+    search loop's minor words go to [query.gc_minor_words]. *)
 
 val run_stats :
   ?runner:runner ->
@@ -118,11 +133,17 @@ val run_stats :
   src:int ->
   dst:int ->
   (float * int list) option * runner * int
-(** Like {!run} but also reports which runner served the query and how
-    many nodes it settled (0 for the trivial [src = dst] query).
-    Settled counts also feed the [query.<runner>.settled] {!Rr_obs}
-    counters; an Alt query served under a [toward] tree also counts in
-    [query.alt.toward]. *)
+(** {!search} under [Dijkstra.Fn weight]. *)
+
+val run :
+  ?runner:runner ->
+  ?toward:float array ->
+  t ->
+  weight:(int -> float) ->
+  src:int ->
+  dst:int ->
+  (float * int list) option
+(** The answer of {!run_stats}. *)
 
 val runner_name : runner -> string
 (** ["plain"] / ["alt"]. *)

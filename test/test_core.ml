@@ -481,7 +481,7 @@ let augment_pick_is_literal_eq4 =
       let m =
         Array.init n (fun src ->
             (Rr_graph.Dijkstra.single_source_flat ~n ~off ~tgt
-               ~weight:(fun k -> miles.(k) +. (kappa *. risk.(k)))
+               ~weight:(Fn (fun k -> miles.(k) +. (kappa *. risk.(k))))
                ~src)
               .Rr_graph.Dijkstra.dist)
       in

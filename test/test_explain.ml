@@ -216,7 +216,7 @@ let continental_exact_all_pools pops =
           check_bits (label "shortest miles") cost
             t.Explain.shortest.Explain.bit_miles;
           check_bits (label "shortest bit-risk miles")
-            (Rr_graph.Dijkstra.path_cost ~off ~tgt ~weight:w_risk path)
+            (Rr_graph.Dijkstra.path_cost ~off ~tgt ~weight:(Fn w_risk) path)
             t.Explain.shortest.Explain.bit_risk_miles;
           Alcotest.(check (option string))
             (label "risk fingerprint is the env's")

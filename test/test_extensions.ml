@@ -61,7 +61,7 @@ let test_yen_costs_match_paths () =
   List.iter
     (fun (cost, path) ->
       Alcotest.(check (float 1e-9)) "cost consistent" cost
-        (Rr_graph.Dijkstra.path_cost ~off ~tgt ~weight:arc path))
+        (Rr_graph.Dijkstra.path_cost ~off ~tgt ~weight:(Fn arc) path))
     (yen g ~weight ~src:0 ~dst:8 ~k:8)
 
 let test_yen_loopless () =

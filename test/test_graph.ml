@@ -74,7 +74,7 @@ let test_csr_mates_involution () =
 
 let single_source g ~weight ~src =
   let off, tgt, weight = Arc_weight.lift g weight in
-  Dijkstra.single_source_flat ~n:(Graph.node_count g) ~off ~tgt ~weight ~src
+  Dijkstra.single_source_flat ~n:(Graph.node_count g) ~off ~tgt ~weight:(Dijkstra.Fn weight) ~src
 
 let single_pair g ~weight ~src ~dst =
   let off, tgt, weight = Arc_weight.lift g weight in
@@ -165,13 +165,13 @@ let test_path_cost () =
   let g = Graph.of_edges 3 [ (0, 1); (1, 2) ] in
   let off, tgt, weight = Arc_weight.lift g (fun u v -> float_of_int (u + v)) in
   Alcotest.(check (float 1e-9)) "sum" 4.0
-    (Dijkstra.path_cost ~off ~tgt ~weight [ 0; 1; 2 ]);
+    (Dijkstra.path_cost ~off ~tgt ~weight:(Dijkstra.Fn weight) [ 0; 1; 2 ]);
   Alcotest.(check (float 1e-9)) "singleton" 0.0
-    (Dijkstra.path_cost ~off ~tgt ~weight [ 7 ]);
+    (Dijkstra.path_cost ~off ~tgt ~weight:(Dijkstra.Fn weight) [ 7 ]);
   Alcotest.(check (option int)) "no arc 0 -> 2" None (Dijkstra.find_arc ~off ~tgt 0 2);
   Alcotest.check_raises "missing hop"
     (Invalid_argument "Dijkstra.path_cost: path edge missing from CSR")
-    (fun () -> ignore (Dijkstra.path_cost ~off ~tgt ~weight [ 0; 2 ]))
+    (fun () -> ignore (Dijkstra.path_cost ~off ~tgt ~weight:(Dijkstra.Fn weight) [ 0; 2 ]))
 
 (* brute-force Bellman-Ford-ish reference for random graphs *)
 let brute_force_dist g ~weight ~src =
@@ -223,7 +223,7 @@ let single_pair_consistent =
       | Some (cost, path) ->
         let off, tgt, weight = Arc_weight.lift g weight in
         Int64.equal (Int64.bits_of_float cost)
-          (Int64.bits_of_float (Dijkstra.path_cost ~off ~tgt ~weight path))
+          (Int64.bits_of_float (Dijkstra.path_cost ~off ~tgt ~weight:(Dijkstra.Fn weight) path))
         && List.hd path = 0
         && List.nth path (List.length path - 1) = n - 1)
 
@@ -355,17 +355,20 @@ let check_repair ~label ?frontier_limit ?weight_hook ~n ~off ~tgt ~mate ~w_old
         hook ();
         w_new.(k)
   in
-  let base = Dijkstra.single_source_flat ~n ~off ~tgt ~weight:old_weight ~src in
+  let base =
+    Dijkstra.single_source_flat ~n ~off ~tgt ~weight:(Dijkstra.Fn old_weight) ~src
+  in
   let snapshot =
     { Dijkstra.dist = Array.copy base.Dijkstra.dist;
       parent = Array.copy base.Dijkstra.parent }
   in
   let fresh =
-    Dijkstra.single_source_flat ~n ~off ~tgt ~weight:(fun k -> w_new.(k)) ~src
+    Dijkstra.single_source_flat ~n ~off ~tgt
+      ~weight:(Dijkstra.Fn (fun k -> w_new.(k))) ~src
   in
   let repaired, stats =
-    Dijkstra.repair ~n ~off ~tgt ~mate ~weight ~old_weight ~changed
-      ?frontier_limit base ~src
+    Dijkstra.repair ~n ~off ~tgt ~mate ~weight:(Dijkstra.Fn weight)
+      ~old_weight:(Dijkstra.Fn old_weight) ~changed ?frontier_limit base ~src
   in
   check_same_tree ~label ~what:"repaired vs fresh" repaired fresh;
   (* The input tree must not be mutated. *)
@@ -547,7 +550,7 @@ let random_case rng ~n ~kind =
 let raise_tree_arc c ~src =
   let base =
     Dijkstra.single_source_flat ~n:c.n ~off:c.off ~tgt:c.tgt
-      ~weight:(fun k -> c.w_old.(k)) ~src
+      ~weight:(Dijkstra.Fn (fun k -> c.w_old.(k))) ~src
   in
   let parent = base.Dijkstra.parent in
   let size = Array.make c.n 0 in
@@ -645,7 +648,8 @@ let test_repair_parallel () =
   let c = random_case rng ~n:400 ~kind:2 in
   let old_weight k = c.w_old.(k) and weight k = c.w_new.(k) in
   let tree weight src =
-    Dijkstra.single_source_flat ~n:c.n ~off:c.off ~tgt:c.tgt ~weight ~src
+    Dijkstra.single_source_flat ~n:c.n ~off:c.off ~tgt:c.tgt
+      ~weight:(Dijkstra.Fn weight) ~src
   in
   let sources = Array.init 24 (fun i -> i * 13 mod c.n) in
   let bases = Array.map (tree old_weight) sources in
@@ -657,7 +661,8 @@ let test_repair_parallel () =
               (fun i ->
                 fst
                   (Dijkstra.repair ~n:c.n ~off:c.off ~tgt:c.tgt ~mate:c.mate
-                     ~weight ~old_weight ~changed:c.changed
+                     ~weight:(Dijkstra.Fn weight)
+                     ~old_weight:(Dijkstra.Fn old_weight) ~changed:c.changed
                      ~frontier_limit:(if i mod 5 = 0 then 1 else max_int)
                      bases.(i) ~src:sources.(i)))
               (Array.init (Array.length sources) Fun.id))

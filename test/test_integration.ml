@@ -475,7 +475,7 @@ let reference_candidates env =
   for u = 0 to n - 1 do
     let dist =
       (Rr_graph.Dijkstra.single_source_flat ~n ~off ~tgt
-         ~weight:(fun k -> miles.(k))
+         ~weight:(Fn (fun k -> miles.(k)))
          ~src:u)
         .Rr_graph.Dijkstra.dist
     in

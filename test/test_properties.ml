@@ -67,7 +67,9 @@ let early_exit_matches_full =
       let off, tgt, weight =
         Arc_weight.lift g (fun u v -> 1.0 +. float_of_int ((u + (2 * v)) mod 7))
       in
-      let tree = Rr_graph.Dijkstra.single_source_flat ~n ~off ~tgt ~weight ~src:0 in
+      let tree =
+        Rr_graph.Dijkstra.single_source_flat ~n ~off ~tgt ~weight:(Fn weight) ~src:0
+      in
       match
         Rr_graph.Dijkstra.single_pair_flat ~n ~off ~tgt ~weight ~src:0 ~dst:(n - 1)
       with
