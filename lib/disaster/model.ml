@@ -82,7 +82,7 @@ let wind_macro =
     c ~lat:39.74 ~lon:(-104.99) ~sigma:200.0 ~w:0.6; (* Front Range *)
   |]
 
-let for_kind = function
+let calibrated = function
   | Event.Fema_hurricane ->
     { kind = Event.Fema_hurricane; macro = hurricane_macro; background = 0.02;
       cluster_sites = Some 450; site_jitter_miles = 45.0; city_anchor = 0.5 }
@@ -98,6 +98,19 @@ let for_kind = function
   | Event.Noaa_wind ->
     { kind = Event.Noaa_wind; macro = wind_macro; background = 0.08;
       cluster_sites = Some 3000; site_jitter_miles = 3.0; city_anchor = 0.7 }
+
+let kind_index = function
+  | Event.Fema_hurricane -> 0
+  | Event.Fema_tornado -> 1
+  | Event.Fema_storm -> 2
+  | Event.Noaa_earthquake -> 3
+  | Event.Noaa_wind -> 4
+
+(* One physical model per kind, so the tables below can be found by
+   identity. *)
+let models = Array.of_list (List.map calibrated Event.all_kinds)
+
+let for_kind kind = models.(kind_index kind)
 
 (* Seasonal month weights (January first). *)
 let month_weights = function
@@ -117,11 +130,13 @@ let month_weights = function
 
 let sample_month rng kind = 1 + Prng.categorical rng (month_weights kind)
 
+let component_weights t = Array.map (fun comp -> comp.weight) t.macro
+
 (* Mixture density (per square mile) of the regional macro model at a
-   point, used to weight which cities anchor event sites. *)
-let macro_density t coord =
+   point, used to weight which cities anchor event sites. [total_w] is
+   the components' weight sum. *)
+let density t ~total_w coord =
   let box_area = 3_100_000.0 (* approx CONUS square miles *) in
-  let total_w = Arrayx.fsum (Array.map (fun comp -> comp.weight) t.macro) in
   let from_components =
     Array.fold_left
       (fun acc comp ->
@@ -131,6 +146,9 @@ let macro_density t coord =
       0.0 t.macro
   in
   (t.background /. box_area) +. ((1.0 -. t.background) *. from_components)
+
+let macro_density t coord =
+  density t ~total_w:(Arrayx.fsum (component_weights t)) coord
 
 let offset_by_miles rng coord sigma_miles =
   let dy, dx = Prng.gaussian2 rng in
@@ -144,41 +162,73 @@ let offset_by_miles rng coord sigma_miles =
   in
   Rr_geo.Bbox.clamp Rr_geo.Bbox.conus (Rr_geo.Coord.make ~lat ~lon)
 
-let draw_from_macro rng t =
+(* What a sampler needs of its model whatever the seed: the component
+   weights and, for a site-quantised model, the city-anchor weights. *)
+type tables = {
+  component_w : float array;
+  city_weights : float array;
+  total_city_weight : float;
+}
+
+let build_tables t =
+  let component_w = component_weights t in
+  let total_w = Arrayx.fsum component_w in
+  let city_weights =
+    if t.cluster_sites = None then [||]
+    else
+      (* sqrt damping: report counts grow sub-linearly with population
+         (one weather office covers a metro of any size). *)
+      Array.map
+        (fun (city : Rr_cities.Data.city) ->
+          sqrt (float_of_int city.Rr_cities.Data.population)
+          *. density t ~total_w city.Rr_cities.Data.coord)
+        Rr_cities.Data.all
+  in
+  { component_w; city_weights; total_city_weight = Arrayx.fsum city_weights }
+
+(* The calibrated models' tables are built on first use and then kept.
+   Domains may race to build one: each builds the same values, and the
+   first to store them wins. Any other model (a caller's record, or a
+   copy made with [with]) builds its own on every [sampler] call. *)
+let slots : tables option Atomic.t array =
+  Array.map (fun _ -> Atomic.make None) models
+
+let tables t =
+  let i = kind_index t.kind in
+  if t != models.(i) then build_tables t
+  else
+    match Atomic.get slots.(i) with
+    | Some tb -> tb
+    | None ->
+      ignore (Atomic.compare_and_set slots.(i) None (Some (build_tables t)));
+      Option.get (Atomic.get slots.(i))
+
+let draw_from_macro rng t component_w =
   if Prng.float rng 1.0 < t.background then begin
     let lat = Prng.uniform rng 25.0 49.0 in
     let lon = Prng.uniform rng (-124.5) (-67.0) in
     Rr_geo.Coord.make ~lat ~lon
   end
   else begin
-    let weights = Array.map (fun comp -> comp.weight) t.macro in
-    let comp = t.macro.(Prng.categorical rng weights) in
+    let comp = t.macro.(Prng.categorical rng component_w) in
     offset_by_miles rng comp.center comp.sigma_miles
   end
 
 let sampler t ~seed =
+  let tb = tables t in
   match t.cluster_sites with
-  | None -> fun rng -> draw_from_macro rng t
+  | None -> fun rng -> draw_from_macro rng t tb.component_w
   | Some k ->
     (* Fixed site set drawn once: county centroids / report towns. A
        [city_anchor] share of sites sit at gazetteer cities (event records
        concentrate where people are), drawn with probability proportional
        to population x regional macro density. *)
     let site_rng = Prng.create seed in
-    let city_weights =
-      (* sqrt damping: report counts grow sub-linearly with population
-         (one weather office covers a metro of any size). *)
-      Array.map
-        (fun (city : Rr_cities.Data.city) ->
-          sqrt (float_of_int city.Rr_cities.Data.population)
-          *. macro_density t city.Rr_cities.Data.coord)
-        Rr_cities.Data.all
-    in
-    let total_city_weight = Arrayx.fsum city_weights in
     let draw_site rng =
-      if total_city_weight > 0.0 && Prng.float rng 1.0 < t.city_anchor then
-        Rr_cities.Data.all.(Prng.categorical rng city_weights).Rr_cities.Data.coord
-      else draw_from_macro rng t
+      if tb.total_city_weight > 0.0 && Prng.float rng 1.0 < t.city_anchor then
+        Rr_cities.Data.all.(Prng.categorical rng tb.city_weights)
+          .Rr_cities.Data.coord
+      else draw_from_macro rng t tb.component_w
     in
     let sites = Array.init k (fun _ -> draw_site site_rng) in
     fun rng ->

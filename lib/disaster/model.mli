@@ -39,7 +39,8 @@ val macro_density : t -> Rr_geo.Coord.t -> float
     (before site quantisation). *)
 
 val for_kind : Event.kind -> t
-(** The calibrated model of each catalogue. *)
+(** The calibrated model of each catalogue: the same physical record on
+    every call, so that its {!sampler} tables are built once. *)
 
 val month_weights : Event.kind -> float array
 (** Twelve seasonal weights (sum 1): hurricanes peak August-October,
@@ -54,4 +55,11 @@ val sample_month : Rr_util.Prng.t -> Event.kind -> int
 val sampler : t -> seed:int64 -> (Rr_util.Prng.t -> Rr_geo.Coord.t)
 (** [sampler model ~seed] materialises the model (drawing its site set
     deterministically from [seed]) and returns an event sampler. All
-    returned coordinates lie inside {!Rr_geo.Bbox.conus}. *)
+    returned coordinates lie inside {!Rr_geo.Bbox.conus}.
+
+    The tables that do not depend on the seed (the component weights
+    and, for site-quantised models, each gazetteer city's anchor weight,
+    population times {!macro_density}) are built on the first call for
+    a model returned by {!for_kind} and kept for the process, safely
+    under concurrent domains; any other model builds them on every
+    call. The site draw is per call. *)

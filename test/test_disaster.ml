@@ -29,6 +29,131 @@ let test_kind_names_distinct () =
 
 (* --- Model --- *)
 
+(* A literal copy of the sampler as it was when every call rebuilt its
+   tables: the component weights per macro draw, and the city weights,
+   with the components' weight sum re-summed per city, per call. *)
+module Reference_sampler = struct
+  open Rr_disaster.Model
+
+  let macro_density t coord =
+    let box_area = 3_100_000.0 in
+    let total_w = Rr_util.Arrayx.fsum (Array.map (fun comp -> comp.weight) t.macro) in
+    let from_components =
+      Array.fold_left
+        (fun acc comp ->
+          let d = Rr_geo.Distance.miles comp.center coord in
+          let s2 = comp.sigma_miles *. comp.sigma_miles in
+          acc +. (comp.weight /. total_w /. (2.0 *. Float.pi *. s2) *. exp (-0.5 *. d *. d /. s2)))
+        0.0 t.macro
+    in
+    (t.background /. box_area) +. ((1.0 -. t.background) *. from_components)
+
+  let offset_by_miles rng coord sigma_miles =
+    let dy, dx = Rr_util.Prng.gaussian2 rng in
+    let dlat = sigma_miles *. dy /. 69.0 in
+    let lat0 = Rr_geo.Coord.lat coord in
+    let miles_per_lon = 69.0 *. Float.max 0.2 (cos (lat0 *. Float.pi /. 180.0)) in
+    let dlon = sigma_miles *. dx /. miles_per_lon in
+    let lat = Float.max (-89.0) (Float.min 89.0 (lat0 +. dlat)) in
+    let lon =
+      Float.max (-179.0) (Float.min 179.0 (Rr_geo.Coord.lon coord +. dlon))
+    in
+    Rr_geo.Bbox.clamp Rr_geo.Bbox.conus (Rr_geo.Coord.make ~lat ~lon)
+
+  let draw_from_macro rng t =
+    if Rr_util.Prng.float rng 1.0 < t.background then begin
+      let lat = Rr_util.Prng.uniform rng 25.0 49.0 in
+      let lon = Rr_util.Prng.uniform rng (-124.5) (-67.0) in
+      Rr_geo.Coord.make ~lat ~lon
+    end
+    else begin
+      let weights = Array.map (fun comp -> comp.weight) t.macro in
+      let comp = t.macro.(Rr_util.Prng.categorical rng weights) in
+      offset_by_miles rng comp.center comp.sigma_miles
+    end
+
+  let sampler t ~seed =
+    match t.cluster_sites with
+    | None -> fun rng -> draw_from_macro rng t
+    | Some k ->
+      let site_rng = Rr_util.Prng.create seed in
+      let city_weights =
+        Array.map
+          (fun (city : Rr_cities.Data.city) ->
+            sqrt (float_of_int city.Rr_cities.Data.population)
+            *. macro_density t city.Rr_cities.Data.coord)
+          Rr_cities.Data.all
+      in
+      let total_city_weight = Rr_util.Arrayx.fsum city_weights in
+      let draw_site rng =
+        if total_city_weight > 0.0 && Rr_util.Prng.float rng 1.0 < t.city_anchor then
+          Rr_cities.Data.all.(Rr_util.Prng.categorical rng city_weights).Rr_cities.Data.coord
+        else draw_from_macro rng t
+      in
+      let sites = Array.init k (fun _ -> draw_site site_rng) in
+      fun rng ->
+        let site = sites.(Rr_util.Prng.int rng k) in
+        if t.site_jitter_miles > 0.0 then offset_by_miles rng site t.site_jitter_miles
+        else site
+end
+
+let draws sampler ~seed =
+  let sample = sampler ~seed in
+  let rng = Rr_util.Prng.create (Int64.add seed 1L) in
+  Array.init 300 (fun _ ->
+      let c = sample rng in
+      (Int64.bits_of_float (Rr_geo.Coord.lat c), Int64.bits_of_float (Rr_geo.Coord.lon c)))
+
+(* The calibrated models build their sampler tables once, on first use,
+   possibly from several domains at once (this runs first, at pool size
+   4, so the tables are built under that race); every draw must still
+   equal the per-call construction, at every pool size, for every kind
+   and seed. A copy of a calibrated model made with [with] must not
+   reuse the original's tables. *)
+let test_model_tables_built_once () =
+  let seeds = [ 1L; 9L; 42L; 0x5EEDL ] in
+  let cases =
+    Array.of_list
+      (List.concat_map (fun k -> List.map (fun s -> (k, s)) seeds)
+         Rr_disaster.Event.all_kinds)
+  in
+  let expected =
+    Array.map
+      (fun (kind, seed) ->
+        draws (Reference_sampler.sampler (Rr_disaster.Model.for_kind kind)) ~seed)
+      cases
+  in
+  List.iter
+    (fun pool ->
+      let old = Rr_util.Parallel.domain_count () in
+      Rr_util.Parallel.set_domain_count pool;
+      let got =
+        Fun.protect ~finally:(fun () -> Rr_util.Parallel.set_domain_count old)
+        @@ fun () ->
+        Rr_util.Parallel.map_array
+          (fun (kind, seed) ->
+            draws (Rr_disaster.Model.sampler (Rr_disaster.Model.for_kind kind)) ~seed)
+          cases
+      in
+      Array.iteri
+        (fun i (kind, seed) ->
+          if got.(i) <> expected.(i) then
+            Alcotest.failf "%s seed %Ld differs from the per-call build at pool %d"
+              (Rr_disaster.Event.kind_name kind) seed pool)
+        cases)
+    [ 4; 2; 1 ];
+  List.iter
+    (fun kind ->
+      let m = Rr_disaster.Model.for_kind kind in
+      Alcotest.(check bool) "one model per kind" true (m == Rr_disaster.Model.for_kind kind);
+      let copy = { m with Rr_disaster.Model.macro = Array.sub m.Rr_disaster.Model.macro 0 3 } in
+      if draws (Rr_disaster.Model.sampler copy) ~seed:5L
+         <> draws (Reference_sampler.sampler copy) ~seed:5L
+      then
+        Alcotest.failf "%s: a copied model reused the original's tables"
+          (Rr_disaster.Event.kind_name kind))
+    Rr_disaster.Event.all_kinds
+
 let test_model_sampler_in_conus () =
   List.iter
     (fun kind ->
@@ -172,6 +297,7 @@ let () =
         ] );
       ( "model",
         [
+          Alcotest.test_case "tables built once" `Quick test_model_tables_built_once;
           Alcotest.test_case "samples in CONUS" `Quick test_model_sampler_in_conus;
           Alcotest.test_case "macro density" `Quick test_model_macro_density_positive;
           Alcotest.test_case "geography" `Quick test_model_geography;
