@@ -66,6 +66,27 @@ val strike_labels : Env.t -> failed:bool array -> int array
     weighs every arc into a failed PoP as [infinity] gives. Bumps the
     [outagesim.labelings] counter once per call. *)
 
+(** {1 Static routes under a strike} *)
+
+type static_route = int * int * Router.route option * Router.route option
+(** A pair [(src, dst)] with its shortest and RiskRoute routes, installed
+    before any strike. *)
+
+type route_index
+(** Each PoP's static routes: route [2 i] is pair [i]'s shortest route,
+    [2 i + 1] its RiskRoute route. *)
+
+val route_index : int -> static_route array -> route_index
+(** [route_index n static] indexes the routes of [static] by the PoPs
+    (of [n]) they pass through. *)
+
+val routes_down : route_index -> routes:int -> int list -> Bytes.t
+(** [routes_down index ~routes failed_pops] marks ['\001'] every route
+    through a failed PoP and ['\000'] the others, of [routes] route ids.
+    A strike thus touches only its failed PoPs' routes instead of
+    walking every path; a route is down exactly when one of its PoPs
+    failed. *)
+
 val run :
   ?rng:Rr_util.Prng.t -> ?scenario_count:int -> ?pair_cap:int ->
   ?radius_miles:float -> ?kind:Rr_disaster.Event.kind -> Env.t -> result
