@@ -274,26 +274,28 @@ let greedy ?(k = 1) ?max_candidates ?reduction_threshold ?dist_trees ?risk_trees
             else begin
               let wab = weight a b and wba = weight b a in
               let ma = !m.(a) and mb = !m.(b) in
+              (* Loops, not closures, so [delta] stays an unboxed local
+                 instead of a captured ref boxing each partial sum. *)
               let delta = ref 0.0 in
-              Array.iteri
-                (fun i cols ->
-                  if Array.length cols > 0 then begin
-                    let mi_new = !m.(i) and mi_old = m_old.(i) in
-                    let dia = mi_new.(a) and dib = mi_new.(b) in
-                    Array.iter
-                      (fun j ->
-                        if i <> j then begin
-                          let c1 = dia +. wab +. mb.(j)
-                          and c2 = dib +. wba +. ma.(j) in
-                          let t_old = min_via mi_old.(j) c1 c2 in
-                          let t_new = min_via mi_new.(j) c1 c2 in
-                          let c_old = if t_old < infinity then t_old else 0.0 in
-                          let c_new = if t_new < infinity then t_new else 0.0 in
-                          delta := !delta +. (c_new -. c_old)
-                        end)
-                      cols
-                  end)
-                changed;
+              for i = 0 to n - 1 do
+                let cols = changed.(i) in
+                if Array.length cols > 0 then begin
+                  let mi_new = !m.(i) and mi_old = m_old.(i) in
+                  let dia = mi_new.(a) and dib = mi_new.(b) in
+                  for t = 0 to Array.length cols - 1 do
+                    let j = cols.(t) in
+                    if i <> j then begin
+                      let c1 = dia +. wab +. mb.(j)
+                      and c2 = dib +. wba +. ma.(j) in
+                      let t_old = min_via mi_old.(j) c1 c2 in
+                      let t_new = min_via mi_new.(j) c1 c2 in
+                      let c_old = if t_old < infinity then t_old else 0.0 in
+                      let c_new = if t_new < infinity then t_new else 0.0 in
+                      delta := !delta +. (c_new -. c_old)
+                    end
+                  done
+                end
+              done;
               score.(c) <- score.(c) +. !delta;
               Rr_obs.Counter.incr c_scored;
               Rr_obs.Counter.incr c_rescore_incremental;

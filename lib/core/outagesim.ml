@@ -129,6 +129,25 @@ let run ?rng ?(scenario_count = 200) ?(pair_cap = 200) ?(radius_miles = 80.0)
       (sample_scenarios ~rng:(Prng.split rng) ~radius_miles ~kind
          ~count:scenario_count env)
   in
+  (* A strike that fails no PoP leaves every pair live and reachable,
+     so it contributes the share of pairs with a static route and
+     nothing else; it is computed once. *)
+  let total = Array.length static in
+  let quiet =
+    if total = 0 then (0.0, 0.0, 0.0, 0.0)
+    else begin
+      let routed pick =
+        Array.fold_left
+          (fun acc r -> if Option.is_some (pick r) then acc + 1 else acc)
+          0 static
+      in
+      let live = float_of_int total in
+      ( float_of_int (routed (fun (_, _, s, _) -> s)) /. live,
+        float_of_int (routed (fun (_, _, _, r) -> r)) /. live,
+        1.0,
+        0.0 )
+    end
+  in
   (* Scenarios are evaluated independently (each builds its own failed
      set and reroutes against the shared immutable environment); their
      per-scenario survival fractions are summed in scenario order, so
@@ -136,47 +155,45 @@ let run ?rng ?(scenario_count = 200) ?(pair_cap = 200) ?(radius_miles = 80.0)
   let contributions =
     Parallel.map_array
       (fun scenario ->
-        let failed = Array.make n false in
-        List.iter (fun v -> failed.(v) <- true) scenario.failed_pops;
-        (* One labelling answers the reactive posture of every pair. *)
-        let label =
-          if scenario.failed_pops = [] then [||]
-          else strike_labels env ~failed
-        in
-        let down =
-          routes_down index ~routes:(2 * Array.length static)
-            scenario.failed_pops
-        in
-        let live_pairs = ref 0
-        and s_ok = ref 0
-        and r_ok = ref 0
-        and re_ok = ref 0
-        and endpoint_dead = ref 0 in
-        Array.iteri
-          (fun i (src, dst, shortest, riskroute) ->
-            if failed.(src) || failed.(dst) then
-              incr endpoint_dead
-            else begin
-              incr live_pairs;
-              if Option.is_some shortest && Bytes.get down (2 * i) = '\000'
-              then incr s_ok;
-              if Option.is_some riskroute && Bytes.get down ((2 * i) + 1) = '\000'
-              then incr r_ok;
-              if scenario.failed_pops = [] || label.(src) = label.(dst) then
-                incr re_ok
-            end)
-          static;
-        let total = Array.length static in
-        if total = 0 then (0.0, 0.0, 0.0, 0.0)
+        if scenario.failed_pops = [] then quiet
         else begin
-          let endpoint = float_of_int !endpoint_dead /. float_of_int total in
-          if !live_pairs = 0 then (0.0, 0.0, 0.0, endpoint)
+          let failed = Array.make n false in
+          List.iter (fun v -> failed.(v) <- true) scenario.failed_pops;
+          (* One labelling answers the reactive posture of every pair. *)
+          let label = strike_labels env ~failed in
+          let down =
+            routes_down index ~routes:(2 * Array.length static)
+              scenario.failed_pops
+          in
+          let live_pairs = ref 0
+          and s_ok = ref 0
+          and r_ok = ref 0
+          and re_ok = ref 0
+          and endpoint_dead = ref 0 in
+          Array.iteri
+            (fun i (src, dst, shortest, riskroute) ->
+              if failed.(src) || failed.(dst) then
+                incr endpoint_dead
+              else begin
+                incr live_pairs;
+                if Option.is_some shortest && Bytes.get down (2 * i) = '\000'
+                then incr s_ok;
+                if Option.is_some riskroute && Bytes.get down ((2 * i) + 1) = '\000'
+                then incr r_ok;
+                if label.(src) = label.(dst) then incr re_ok
+              end)
+            static;
+          if total = 0 then (0.0, 0.0, 0.0, 0.0)
           else begin
-            let live = float_of_int !live_pairs in
-            ( float_of_int !s_ok /. live,
-              float_of_int !r_ok /. live,
-              float_of_int !re_ok /. live,
-              endpoint )
+            let endpoint = float_of_int !endpoint_dead /. float_of_int total in
+            if !live_pairs = 0 then (0.0, 0.0, 0.0, endpoint)
+            else begin
+              let live = float_of_int !live_pairs in
+              ( float_of_int !s_ok /. live,
+                float_of_int !r_ok /. live,
+                float_of_int !re_ok /. live,
+                endpoint )
+            end
           end
         end)
       scenarios

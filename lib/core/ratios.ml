@@ -161,29 +161,7 @@ let between ?(pair_cap = default_cap) ?(seed = 0x4A71_05L) ?trees env ~sources
   else begin
     let total = ns * nd in
     let pairs =
-      if total <= pair_cap then begin
-        let out = ref [] in
-        Array.iter
-          (fun s -> Array.iter (fun d -> if s <> d then out := (s, d) :: !out) dests)
-          sources;
-        Array.of_list !out
-      end
-      else begin
-        let rng = Prng.create seed in
-        let seen = Hashtbl.create (2 * pair_cap) in
-        let out = ref [] and k = ref 0 and attempts = ref 0 in
-        while !k < pair_cap && !attempts < 50 * pair_cap do
-          incr attempts;
-          let s = sources.(Prng.int rng ns) in
-          let d = dests.(Prng.int rng nd) in
-          if s <> d && not (Hashtbl.mem seen (s, d)) then begin
-            Hashtbl.add seen (s, d) ();
-            out := (s, d) :: !out;
-            incr k
-          end
-        done;
-        Array.of_list !out
-      end
+      Sampling.pairs_between (Prng.create seed) ~sources ~dests ~cap:pair_cap
     in
     (* Diagonal share of the S x D pair universe: |S inter D| / (|S| |D|). *)
     let dest_set = Hashtbl.create nd in

@@ -420,16 +420,15 @@ let of_query ctx params =
    the per-arc terms reproduces the OCaml fold bit-for-bit (CI does
    exactly that in python). Fields are appended straight to the Buffer,
    each helper writing its literal prefix and then the value. Floats go
-   through [caml_format_float], the primitive [Printf]'s [%.17g] calls
-   ([CamlinternalFormat.convert_float]), so the bytes are Printf's by
-   construction without interpreting a format per field. *)
-
-external format_float : string -> float -> string = "caml_format_float"
+   through {!Rr_util.Float_text.add_g17}, whose bytes are
+   [Printf.sprintf "%.17g"]'s for every double; it writes the digits of
+   the record's floats (about four per arc) without the C library's
+   formatter, which was most of the rendering time. *)
 
 let fl b lit f =
   Buffer.add_string b lit;
-  Buffer.add_string b
-    (if Float.is_finite f then format_float "%.17g" f else "0.0")
+  if Float.is_finite f then Rr_util.Float_text.add_g17 b f
+  else Buffer.add_string b "0.0"
 
 let int b lit i =
   Buffer.add_string b lit;
@@ -480,7 +479,13 @@ let side_json b s =
   Buffer.add_string b (if s.arcs = [] then "]\n    }" else "\n      ]\n    }")
 
 let to_json t =
-  let b = Buffer.create 4096 in
+  (* An arc record with its path entry takes about 250 bytes, and the
+     rest of the document about 2 KB. *)
+  let arcs =
+    List.length t.riskroute.arcs + List.length t.shortest.arcs
+    + List.length t.top_arcs
+  in
+  let b = Buffer.create (2048 + (256 * arcs)) in
   let add = Buffer.add_string b in
   int b "{\n  \"schema\": " schema_version;
   str b ",\n  \"net\": " t.net;

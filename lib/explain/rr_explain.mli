@@ -155,9 +155,10 @@ val explain_named :
     at [tick] (default 40, corpus networks only). *)
 
 val to_json : t -> string
-(** Schema-{!schema_version} JSON. Floats are printed with [%.17g], so
-    every value round-trips exactly and external consumers can verify
-    the decomposition bit-for-bit. *)
+(** Schema-{!schema_version} JSON. Floats are printed with [%.17g]
+    ({!Rr_util.Float_text.add_g17}, byte for byte [Printf]'s; a
+    non-finite value prints [0.0]), so every value round-trips exactly
+    and external consumers can verify the decomposition bit-for-bit. *)
 
 val of_query : Rr_engine.Context.t -> (string * string) list -> (string, string) result
 (** The [/explain] provider body: decoded query parameters ([net] /

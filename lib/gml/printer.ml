@@ -11,7 +11,7 @@ let escape s =
 (* Print floats so that they re-lex as floats: always include a dot or an
    exponent. *)
 let float_literal f =
-  let s = Printf.sprintf "%.17g" f in
+  let s = Rr_util.Float_text.g17 f in
   if String.contains s '.' || String.contains s 'e' || String.contains s 'n' then s
   else s ^ ".0"
 

@@ -11,6 +11,15 @@ val pair_indices : Prng.t -> n:int -> cap:int -> (int * int) array
     pair is returned (deterministically, no RNG draws); otherwise [cap]
     pairs are sampled without replacement. *)
 
+val pairs_between :
+  Prng.t -> sources:int array -> dests:int array -> cap:int -> (int * int) array
+(** [pairs_between rng ~sources ~dests ~cap] returns ordered pairs
+    [(s, d)], [s <> d], with [s] from [sources] and [d] from [dests]
+    (non-negative ids). When [|sources| * |dests|] is at most [cap] every
+    such pair is returned, last source and destination first (no RNG
+    draws); otherwise up to [cap] distinct pairs are drawn by rejection,
+    most recent first, giving up after [50 * cap] draws. *)
+
 val reservoir : Prng.t -> k:int -> 'a array -> 'a array
 (** Uniform sample of [k] elements without replacement (whole array if
     shorter), preserving no particular order. *)
